@@ -26,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -36,54 +37,102 @@ import (
 	"repro/internal/serve/cache"
 )
 
-func main() {
-	addr := flag.String("addr", ":8723", "listen address")
-	cacheDir := flag.String("cache-dir", "", "persist cached results to this directory (empty = memory only)")
-	cacheCap := flag.Int("cache-capacity", 4096, "in-memory result cache capacity (entries)")
-	simWorkers := flag.Int("sim-workers", 0, "simulation pool width per job (0 = one per CPU)")
-	jobWorkers := flag.Int("job-workers", 1, "jobs executing concurrently")
-	queueDepth := flag.Int("queue-depth", 64, "max queued jobs before submissions get 503")
-	verifyFraction := flag.Float64("verify-fraction", 0,
-		"re-simulate this fraction of cache hits and fail jobs on divergence (0 = off, 1 = every hit)")
-	flag.Parse()
+// options are simd's parsed command-line flags.
+type options struct {
+	addr, cacheDir                     string
+	cacheCap                           int
+	simWorkers, jobWorkers, queueDepth int
+	verifyFraction                     float64
+}
 
-	if *verifyFraction < 0 || *verifyFraction > 1 {
-		fmt.Fprintf(os.Stderr, "simd: -verify-fraction must be in [0,1] (got %v)\n", *verifyFraction)
+// parseFlags parses and validates args; a usage error has already been
+// reported on stderr when it returns one.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("simd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":8723", "listen address")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "persist cached results to this directory (empty = memory only)")
+	fs.IntVar(&o.cacheCap, "cache-capacity", 4096, "in-memory result cache capacity (entries)")
+	fs.IntVar(&o.simWorkers, "sim-workers", 0, "simulation pool width per job (0 = one per CPU)")
+	fs.IntVar(&o.jobWorkers, "job-workers", 1, "jobs executing concurrently")
+	fs.IntVar(&o.queueDepth, "queue-depth", 64, "max queued jobs before submissions get 503")
+	fs.Float64Var(&o.verifyFraction, "verify-fraction", 0,
+		"re-simulate this fraction of cache hits and fail jobs on divergence (0 = off, 1 = every hit)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.verifyFraction < 0 || o.verifyFraction > 1 {
+		err := fmt.Errorf("-verify-fraction must be in [0,1] (got %v)", o.verifyFraction)
+		fmt.Fprintln(stderr, "simd:", err)
+		return o, err
+	}
+	return o, nil
+}
+
+// newHTTPServer serves h on addr. A client must send its request headers
+// within ReadHeaderTimeout; there is no write timeout, because an event
+// stream lasts as long as its job.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
+// shutdown stops the job server first, which ends every open event stream
+// with a terminal event, and then drains the HTTP server within timeout.
+// In the other order the HTTP drain would wait on those streams.
+func shutdown(srv *serve.Server, hs *http.Server, timeout time.Duration) error {
+	srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return hs.Shutdown(ctx)
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
 
-	c, err := cache.New(*cacheCap, *cacheDir)
+	c, err := cache.New(o.cacheCap, o.cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simd:", err)
 		os.Exit(1)
 	}
 	srv := serve.New(serve.Config{
 		Cache:          c,
-		SimWorkers:     *simWorkers,
-		JobWorkers:     *jobWorkers,
-		QueueDepth:     *queueDepth,
-		VerifyFraction: *verifyFraction,
+		SimWorkers:     o.simWorkers,
+		JobWorkers:     o.jobWorkers,
+		QueueDepth:     o.queueDepth,
+		VerifyFraction: o.verifyFraction,
 	})
-	defer srv.Close()
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(o.addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "simd: listening on %s (cache dir %q, capacity %d, verify fraction %v)\n",
-		*addr, *cacheDir, *cacheCap, *verifyFraction)
+		o.addr, o.cacheDir, o.cacheCap, o.verifyFraction)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
+		srv.Close()
 		if !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "simd:", err)
 			os.Exit(1)
 		}
 	case s := <-sig:
 		fmt.Fprintf(os.Stderr, "simd: %v, shutting down\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)
+		if err := shutdown(srv, hs, 5*time.Second); err != nil {
+			fmt.Fprintln(os.Stderr, "simd:", err)
+		}
 	}
 }

@@ -37,7 +37,10 @@ import (
 const KeyVersion = 1
 
 // CellKey is the canonical identity of one unique simulation run.
-// Build one with CellKeyFor; the zero value is not a valid key.
+// Build one with CellKeyFor; the zero value is not a valid key. The
+// exported fields are read-only after CellKeyFor: it renders the key's
+// String, Hash and seed bytes once and memoizes them, so a field written
+// afterwards would not show in any of the three.
 type CellKey struct {
 	// Workload is the workload's report name (a suite proxy like "mcf",
 	// or a synth scenario name like "s1a2b3c4d5e6f708").
@@ -57,6 +60,11 @@ type CellKey struct {
 	// not read has been zeroed (see canonicalConfig), so configurations
 	// that cannot produce different Results fingerprint identically.
 	Config core.Config
+
+	// seedStr, str and hash memoize seedKey, String and Hash. CellKeyFor
+	// fills them; a key built any other way leaves them empty and renders
+	// on every call, with the same bytes.
+	seedStr, str, hash string
 }
 
 // CellKeyFor builds the canonical key of one (workload, options, config)
@@ -79,7 +87,7 @@ func CellKeyFor(workloadName string, params *synth.Params, opt sim.Options, cfg 
 		}
 		sp = string(b)
 	}
-	return CellKey{
+	k := CellKey{
 		Workload:    workloadName,
 		SynthParams: sp,
 		WarmupUops:  opt.WarmupUops,
@@ -87,6 +95,12 @@ func CellKeyFor(workloadName string, params *synth.Params, opt sim.Options, cfg 
 		Energy:      energy,
 		Config:      canonicalConfig(cfg),
 	}
+	// Each rendering reuses the one before it: String embeds seedKey and
+	// Hash digests String.
+	k.seedStr = k.seedKey()
+	k.str = k.String()
+	k.hash = k.Hash()
+	return k
 }
 
 // seedKey renders the key in the pre-export runKey layout. These bytes
@@ -96,6 +110,9 @@ func CellKeyFor(workloadName string, params *synth.Params, opt sim.Options, cfg 
 // New identity components (KeyVersion, SchemaVersion, SynthParams) live
 // only in String, never here.
 func (k CellKey) seedKey() string {
+	if k.seedStr != "" {
+		return k.seedStr
+	}
 	return fmt.Sprintf("w=%s|warm=%d|meas=%d|energy=%s|cfg=%+v",
 		k.Workload, k.WarmupUops, k.MeasureUops, k.Energy, k.Config)
 }
@@ -105,6 +122,9 @@ func (k CellKey) seedKey() string {
 // for runs that would differ) is what canonicalConfig and the
 // golden-key tests guard.
 func (k CellKey) String() string {
+	if k.str != "" {
+		return k.str
+	}
 	return fmt.Sprintf("cellkey/v%d|schema=%d|synth=%s|%s",
 		KeyVersion, SchemaVersion, k.SynthParams, k.seedKey())
 }
@@ -112,6 +132,9 @@ func (k CellKey) String() string {
 // Hash returns the hex SHA-256 of String — the content address used as
 // the persistent store's filename and the in-memory cache's map key.
 func (k CellKey) Hash() string {
+	if k.hash != "" {
+		return k.hash
+	}
 	sum := sha256.Sum256([]byte(k.String()))
 	return hex.EncodeToString(sum[:])
 }

@@ -67,6 +67,29 @@ func TestCellKeyGoldenHashes(t *testing.T) {
 	}
 }
 
+// The renderings CellKeyFor memoizes must be the bytes a key without the
+// memo renders, so a hand-built key and a built one agree on String, Hash
+// and Seed.
+func TestCellKeyMemoMatchesRendering(t *testing.T) {
+	for _, c := range goldenKeyCases(t) {
+		k := c.key
+		if k.seedStr == "" || k.str == "" || k.hash == "" {
+			t.Fatalf("%s: CellKeyFor left the memo unset", c.name)
+		}
+		bare := k
+		bare.seedStr, bare.str, bare.hash = "", "", ""
+		if k.String() != bare.String() {
+			t.Errorf("%s: memoized String %q, rendered %q", c.name, k.String(), bare.String())
+		}
+		if k.Hash() != bare.Hash() {
+			t.Errorf("%s: memoized Hash %s, rendered %s", c.name, k.Hash(), bare.Hash())
+		}
+		if k.Seed() != bare.Seed() {
+			t.Errorf("%s: memoized Seed %016x, rendered %016x", c.name, k.Seed(), bare.Seed())
+		}
+	}
+}
+
 // The key string must carry its own version and the schema version, so a
 // persistent store can never alias entries across either.
 func TestCellKeyStringIsVersioned(t *testing.T) {
@@ -128,6 +151,9 @@ func TestExpandKeysConsistent(t *testing.T) {
 	seen := make(map[string]bool)
 	for ui := 0; ui < plan.NumUnique(); ui++ {
 		k := plan.Key(ui)
+		if k.str == "" || k.hash == "" || k.seedStr == "" {
+			t.Errorf("unique %d: Plan.Key lacks the rendering memo", ui)
+		}
 		if k.Seed() != plan.Seed(ui) {
 			t.Errorf("unique %d: Key().Seed() %016x != Plan.Seed %016x", ui, k.Seed(), plan.Seed(ui))
 		}

@@ -11,7 +11,8 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs             submit a JobSpec, get a JobStatus
+//	POST   /v1/jobs             submit a JobSpec (at most 1 MiB), get a
+//	                            JobStatus
 //	GET    /v1/jobs/{id}        poll one job's JobStatus
 //	GET    /v1/jobs/{id}/events NDJSON per-cell event stream (ends with
 //	                            a terminal done/failed/cancelled event)
@@ -25,6 +26,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -147,9 +149,13 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu         sync.Mutex
-	state      string
-	events     []Event
+	mu     sync.Mutex
+	state  string
+	events []Event
+	// changed is closed and replaced, under mu, whenever an event is
+	// appended: an event stream waits on the channel it read alongside
+	// the events, so it wakes for every later event without polling.
+	changed    chan struct{}
 	errMsg     string
 	resultJSON []byte
 	meta       *exp.RunMeta
@@ -175,6 +181,9 @@ type Server struct {
 	cellSecondsTotal, wallSecondsTotal      float64
 	running                                 int
 	timings                                 []JobTiming
+	// closed is set by Close; Submit rejects jobs from then on, so none
+	// can land in the queue after Close has drained it.
+	closed bool
 
 	queue chan *job
 	quit  chan struct{}
@@ -212,15 +221,31 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close cancels every job and stops the workers after their current job.
+// Close cancels every job, stops the workers after their current job and
+// finishes each job still queued as cancelled, so every event stream ends
+// with a terminal event. Later submissions are rejected; a second Close
+// is a no-op.
 func (s *Server) Close() {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
 	for _, id := range s.order {
 		s.jobs[id].cancel()
 	}
 	s.mu.Unlock()
 	close(s.quit)
 	s.wg.Wait()
+	for {
+		select {
+		case j := <-s.queue:
+			s.finish(j, StateCancelled, nil, nil, "cancelled while queued")
+		default:
+			return
+		}
+	}
 }
 
 // Submit validates a spec, expands it, and enqueues the job. It returns
@@ -239,9 +264,15 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	j := &job{
 		spec: spec, plan: plan, ctx: ctx, cancel: cancel,
 		state:         StateQueued,
+		changed:       make(chan struct{}),
 		pendingVerify: make(map[string]sim.Result),
 	}
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		cancel()
+		return JobStatus{}, errClosed
+	}
 	s.next++
 	j.id = "j" + strconv.Itoa(s.next)
 	select {
@@ -258,8 +289,12 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	return j.status(), nil
 }
 
-// errQueueFull distinguishes backpressure (503) from bad specs (400).
-var errQueueFull = fmt.Errorf("serve: job queue full, retry later")
+// errQueueFull and errClosed distinguish an unavailable server (503) from
+// bad specs (400).
+var (
+	errQueueFull = fmt.Errorf("serve: job queue full, retry later")
+	errClosed    = fmt.Errorf("serve: server is shutting down")
+)
 
 // Job returns the status of one job.
 func (s *Server) Job(id string) (JobStatus, bool) {
@@ -470,19 +505,13 @@ func (s *Server) runJob(j *job) {
 }
 
 // finish moves a job to a terminal state, appends the terminal event,
-// and updates the server aggregates.
+// and updates the server aggregates. The aggregates move first, so a
+// client that has seen the terminal event also sees the job in Stats.
+// Only one finish runs per job, so the job fields read before the
+// aggregates cannot change before the job is made terminal.
 func (s *Server) finish(j *job, state string, result []byte, meta *exp.RunMeta, errMsg string) {
 	j.mu.Lock()
 	wasRunning := j.state == StateRunning
-	j.state = state
-	j.resultJSON = result
-	j.meta = meta
-	j.errMsg = errMsg
-	ev := Event{Type: state}
-	if errMsg != "" && state != StateDone {
-		ev.Error = errMsg
-	}
-	j.events = append(j.events, ev)
 	timing := JobTiming{
 		ID: j.id, Name: j.spec.Name, State: state,
 		UniqueRuns: j.plan.NumUnique(), CacheHits: j.hits,
@@ -515,12 +544,24 @@ func (s *Server) finish(j *job, state string, result []byte, meta *exp.RunMeta, 
 		s.timings = s.timings[len(s.timings)-maxTimings:]
 	}
 	s.mu.Unlock()
+
+	j.mu.Lock()
+	j.state = state
+	j.resultJSON = result
+	j.meta = meta
+	j.errMsg = errMsg
+	ev := Event{Type: state}
+	if errMsg != "" && state != StateDone {
+		ev.Error = errMsg
+	}
+	j.appendEvent(ev)
+	j.mu.Unlock()
 }
 
 // addEvent appends a cell event and updates hit accounting.
 func (j *job) addEvent(ev Event, cached bool) {
 	j.mu.Lock()
-	j.events = append(j.events, ev)
+	j.appendEvent(ev)
 	if cached {
 		j.hits++
 	} else {
@@ -529,14 +570,25 @@ func (j *job) addEvent(ev Event, cached bool) {
 	j.mu.Unlock()
 }
 
-// eventsSince returns events[from:] and whether the stream is complete
-// (the job is terminal and every event has been handed out).
-func (j *job) eventsSince(from int) ([]Event, bool) {
+// appendEvent records ev and wakes every stream waiting on the job. The
+// caller holds j.mu.
+func (j *job) appendEvent(ev Event) {
+	j.events = append(j.events, ev)
+	close(j.changed)
+	j.changed = make(chan struct{})
+}
+
+// eventsSince returns events[from:], whether the stream is complete (the
+// job is terminal and every event has been handed out), and the channel
+// that is closed when the next event is appended. All three are read under
+// one lock, so an event appended after this call always closes the
+// returned channel.
+func (j *job) eventsSince(from int) ([]Event, bool, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	evs := append([]Event(nil), j.events[from:]...)
 	terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
-	return evs, terminal && from+len(evs) == len(j.events)
+	return evs, terminal && from+len(evs) == len(j.events), j.changed
 }
 
 func (j *job) status() JobStatus {
@@ -552,6 +604,9 @@ func (j *job) status() JobStatus {
 	}
 }
 
+// maxSpecBytes caps a submitted JobSpec body; larger bodies get 413.
+const maxSpecBytes = 1 << 20
+
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -561,12 +616,18 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
+		if err := json.NewDecoder(body).Decode(&spec); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("decoding job spec: %w", err))
 			return
 		}
 		st, err := s.Submit(spec)
-		if err == errQueueFull {
+		if errors.Is(err, errQueueFull) || errors.Is(err, errClosed) {
 			httpError(w, http.StatusServiceUnavailable, err)
 			return
 		}
@@ -616,9 +677,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleEvents streams a job's events as NDJSON: everything recorded so
-// far, then live events until the terminal one. The stream is the
-// natural "wait for completion" primitive — it ends exactly when the job
-// does.
+// far, then each live event as soon as it is appended, until the terminal
+// one. The stream is the natural "wait for completion" primitive — it
+// ends exactly when the job does.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -631,7 +692,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	from := 0
 	for {
-		evs, complete := j.eventsSince(from)
+		evs, complete, changed := j.eventsSince(from)
 		for _, ev := range evs {
 			if err := enc.Encode(ev); err != nil {
 				return
@@ -647,7 +708,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(25 * time.Millisecond):
+		case <-changed:
 		}
 	}
 }

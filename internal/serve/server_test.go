@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,11 +41,43 @@ func newEnv(t *testing.T, cfg Config) *testEnv {
 	t.Helper()
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
+	// The job server closes first: that ends every open event stream,
+	// which the listener's Close would otherwise wait on.
 	t.Cleanup(func() {
-		ts.Close()
 		srv.Close()
+		ts.Close()
 	})
 	return &testEnv{srv: srv, ts: ts}
+}
+
+// longSpec is a job that is still running when a test acts on it. Its
+// cells are short, because a cancelled job still finishes the cell in
+// flight.
+func longSpec() JobSpec {
+	spec := testSpec(12)
+	spec.MeasureUops = 300_000
+	return spec
+}
+
+// waitRunning blocks until job id has left the queue.
+//
+//sim:wallclock test start-up deadline polling only
+func (e *testEnv) waitRunning(t *testing.T, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cur, ok := e.srv.Job(id)
+		if !ok {
+			t.Fatal("job vanished")
+		}
+		if cur.State == StateRunning {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started: %+v", cur)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func (e *testEnv) submit(t *testing.T, spec JobSpec) JobStatus {
@@ -70,30 +105,36 @@ func (e *testEnv) submit(t *testing.T, spec JobSpec) JobStatus {
 // as "wait for the job".
 func (e *testEnv) streamEvents(t *testing.T, id string) []Event {
 	t.Helper()
-	resp, err := http.Get(e.ts.URL + "/v1/jobs/" + id + "/events")
+	evs, err := e.readEvents(id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return evs
+}
+
+// readEvents is streamEvents for goroutines other than the test's own.
+func (e *testEnv) readEvents(id string) ([]Event, error) {
+	resp, err := http.Get(e.ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("events: status %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("events content type = %q", ct)
+		return nil, fmt.Errorf("events content type = %q", ct)
 	}
 	var evs []Event
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		var ev Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+			return nil, fmt.Errorf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
 		evs = append(evs, ev)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return evs
+	return evs, sc.Err()
 }
 
 func (e *testEnv) result(t *testing.T, id string) ([]byte, int) {
@@ -287,34 +328,26 @@ func TestServerUnknownJob(t *testing.T) {
 }
 
 // Cancellation: a running job cancelled over HTTP must converge to the
-// cancelled state with a clean terminal event, and its result endpoint
-// must report the state instead of hanging or returning partial data.
-//
-//sim:wallclock test start-up deadline polling only
+// cancelled state with a clean terminal event — on a stream opened while
+// it ran and on one opened afterwards — and its result endpoint must
+// report the state instead of hanging or returning partial data.
 func TestServerCancelRunningJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
 	env := newEnv(t, Config{SimWorkers: 1})
-	spec := testSpec(4)
-	spec.MeasureUops = 2_000_000 // long enough to still be running when cancelled
-	st := env.submit(t, spec)
+	st := env.submit(t, longSpec())
+	env.waitRunning(t, st.ID)
 
-	// Wait until it actually starts.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cur, ok := env.srv.Job(st.ID)
-		if !ok {
-			t.Fatal("job vanished")
-		}
-		if cur.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started: %+v", cur)
-		}
-		time.Sleep(5 * time.Millisecond)
+	type stream struct {
+		evs []Event
+		err error
 	}
+	live := make(chan stream, 1)
+	go func() {
+		evs, err := env.readEvents(st.ID)
+		live <- stream{evs, err}
+	}()
 
 	r, _ := http.NewRequest("DELETE", env.ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(r)
@@ -326,7 +359,14 @@ func TestServerCancelRunningJob(t *testing.T) {
 		t.Fatalf("cancel: status %d", resp.StatusCode)
 	}
 
+	during := <-live
+	if during.err != nil {
+		t.Fatal(during.err)
+	}
 	evs := env.streamEvents(t, st.ID) // ends only at the terminal event
+	if !reflect.DeepEqual(during.evs, evs) {
+		t.Errorf("stream opened while running = %+v, stream opened after = %+v", during.evs, evs)
+	}
 	last := evs[len(evs)-1]
 	if last.Type != StateCancelled {
 		t.Fatalf("terminal event = %+v, want cancelled", last)
@@ -345,29 +385,14 @@ func TestServerCancelRunningJob(t *testing.T) {
 // Backpressure: with the single worker pinned on a long job and the
 // queue full, further submissions are rejected with 503 instead of
 // queueing without bound.
-//
-//sim:wallclock test start-up deadline polling only
 func TestServerQueueFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
 	env := newEnv(t, Config{SimWorkers: 1, QueueDepth: 1, JobWorkers: 1})
-	long := testSpec(1)
-	long.MeasureUops = 2_000_000
-
-	st := env.submit(t, long)
+	st := env.submit(t, longSpec())
 	defer env.srv.Cancel(st.ID)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cur, _ := env.srv.Job(st.ID)
-		if cur.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started: %+v", cur)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	env.waitRunning(t, st.ID)
 	// Worker busy; depth-1 queue takes exactly one more.
 	st2 := env.submit(t, testSpec(1))
 	defer env.srv.Cancel(st2.ID)
@@ -380,6 +405,149 @@ func TestServerQueueFull(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-full submit: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// Fan-out: eight streams open on one queued multi-cell job each see the
+// same sequence — one cell event per unique run, Done counting 1..N, then
+// exactly one terminal event — and a stream opened after the job finished
+// replays that sequence in full.
+func TestServerEventStreamFanOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	env := newEnv(t, Config{SimWorkers: 1})
+	blocker := env.submit(t, longSpec())
+	env.waitRunning(t, blocker.ID)
+	st := env.submit(t, testSpec(3))
+
+	const subscribers = 8
+	streams := make([][]Event, subscribers)
+	errs := make([]error, subscribers)
+	var wg sync.WaitGroup
+	for i := range streams {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			streams[i], errs[i] = env.readEvents(st.ID)
+		}(i)
+	}
+	env.srv.Cancel(blocker.ID)
+	wg.Wait()
+
+	final, _ := env.srv.Job(st.ID)
+	n := final.NumUnique
+	for i, evs := range streams {
+		if errs[i] != nil {
+			t.Fatalf("subscriber %d: %v", i, errs[i])
+		}
+		if len(evs) != n+1 {
+			t.Fatalf("subscriber %d: %d events, want %d cells + 1 terminal: %+v", i, len(evs), n, evs)
+		}
+		for d, ev := range evs[:n] {
+			if ev.Type != "cell" || ev.Done != d+1 || ev.Total != n {
+				t.Errorf("subscriber %d event %d = %+v, want cell %d/%d", i, d, ev, d+1, n)
+			}
+		}
+		if last := evs[n]; last.Type != StateDone {
+			t.Errorf("subscriber %d terminal event = %+v, want done", i, last)
+		}
+		if !reflect.DeepEqual(evs, streams[0]) {
+			t.Errorf("subscriber %d saw %+v, subscriber 0 saw %+v", i, evs, streams[0])
+		}
+	}
+
+	if late := env.streamEvents(t, st.ID); !reflect.DeepEqual(late, streams[0]) {
+		t.Errorf("stream opened after the job finished = %+v, want %+v", late, streams[0])
+	}
+	j := env.srv.job(st.ID)
+	if evs, complete, _ := j.eventsSince(0); !complete || len(evs) != n+1 {
+		t.Errorf("finished job: eventsSince(0) = %d events, complete %v; want %d, true", len(evs), complete, n+1)
+	}
+}
+
+// Close must not strand queued jobs: with the one job worker busy, the
+// two jobs behind it end as cancelled, their open streams receive the
+// terminal event, and all three jobs count as cancelled.
+func TestServerCloseFinishesQueuedJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	env := newEnv(t, Config{SimWorkers: 1, JobWorkers: 1})
+	running := env.submit(t, longSpec())
+	env.waitRunning(t, running.ID)
+	queued := []string{env.submit(t, testSpec(1)).ID, env.submit(t, testSpec(1)).ID}
+
+	streams := make([][]Event, len(queued))
+	errs := make([]error, len(queued))
+	var wg sync.WaitGroup
+	for i, id := range queued {
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			streams[i], errs[i] = env.readEvents(id)
+		}(i, id)
+	}
+	env.srv.Close()
+	wg.Wait()
+
+	for i, id := range queued {
+		if errs[i] != nil {
+			t.Fatalf("job %s stream: %v", id, errs[i])
+		}
+		evs := streams[i]
+		if len(evs) != 1 || evs[0].Type != StateCancelled {
+			t.Errorf("job %s stream = %+v, want one cancelled event", id, evs)
+		}
+		if st, _ := env.srv.Job(id); st.State != StateCancelled {
+			t.Errorf("job %s state = %q after Close, want cancelled", id, st.State)
+		}
+	}
+	if st := env.srv.Stats(); st.JobsCancelled != 3 || st.QueueDepth != 0 {
+		t.Errorf("after Close: cancelled %d, queue depth %d; want 3, 0", st.JobsCancelled, st.QueueDepth)
+	}
+}
+
+// Every status POST /v1/jobs answers with: 202 for an accepted spec, 400
+// for a malformed one, 413 for a body over the 1 MiB cap and 503 once the
+// server is closed (a full queue is TestServerQueueFull).
+func TestServerSubmitStatusCodes(t *testing.T) {
+	env := newEnv(t, Config{})
+	valid := `{"workloads":["mcf"],"modes":["OoO"],"measure_uops":1000}`
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(env.ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+				t.Errorf("status %d body lacks an error message (%v)", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode
+	}
+	oversized := `{"name":"` + strings.Repeat("x", maxSpecBytes) + `",` + valid[1:]
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"accepted", valid, http.StatusAccepted},
+		{"malformed", "{nope", http.StatusBadRequest},
+		{"oversized", oversized, http.StatusRequestEntityTooLarge},
+	} {
+		if got := post(tc.body); got != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	env.srv.Close()
+	if got := post(valid); got != http.StatusServiceUnavailable {
+		t.Errorf("after Close: status %d, want 503", got)
 	}
 }
 
