@@ -72,26 +72,9 @@ const (
 	SrcHW
 )
 
-// line is one tag-store entry.
-type line struct {
-	tag       uint64 // full line address (addr >> 6)
-	valid     bool
-	dirty     bool
-	lru       uint64 // larger = more recently used
-	fillReady int64  // cycle at which the line's data is usable
-	src       Source // who filled the line; demanded lines revert to SrcDemand
-}
-
-// mshr tracks one outstanding miss. src records who started the fill
-// (demand, runahead, hardware prefetch) so the PRE-aware prefetch filter
-// can recognize lines the runahead mechanism is already fetching;
-// secondary misses merge without retagging.
-type mshr struct {
-	tag       uint64
-	fillReady int64
-	valid     bool
-	src       Source
-}
+// invalidTag marks an empty way in the tag store and a free MSHR. Real
+// tags are line addresses (addr >> 6), so it never matches one.
+const invalidTag = ^uint64(0)
 
 // Stats aggregates the per-level counters.
 type Stats struct {
@@ -109,13 +92,38 @@ type Stats struct {
 }
 
 // Cache is one level of the hierarchy. The zero value is not usable; use New.
+//
+// The tag store and the MSHRs are structures of arrays. Way w of set s
+// lives at index s*assoc+w of every tag-store array, so a probe scans one
+// contiguous run of tags and touches the other arrays only on a match.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	assoc    int
 	setMask  uint64
 	lruClock uint64
-	mshrs    []mshr
-	stats    Stats
+
+	tags      []uint64 // line address (addr >> 6); invalidTag for an empty way
+	lru       []uint64 // larger = more recently used
+	fillReady []int64  // cycle at which the line's data is usable
+	src       []Source // who filled the line; demanded lines revert to SrcDemand
+	dirty     []bool
+
+	// Each MSHR tracks one outstanding miss: its line (invalidTag when the
+	// register is free), the cycle its fill completes, and who started it
+	// (demand, runahead, hardware prefetch) so the PRE-aware prefetch
+	// filter can recognize lines the runahead mechanism is already
+	// fetching. Secondary misses merge without retagging.
+	mshrTag  []uint64
+	mshrFill []int64
+	mshrSrc  []Source
+
+	// raHorizon bounds every runahead-tagged fill: no line or MSHR tagged
+	// SrcRunahead completes after it. From raHorizon on, RunaheadInFlight
+	// is false without a scan — always so in a machine that never runs
+	// ahead, and between runahead episodes once their fills land.
+	raHorizon int64
+
+	stats Stats
 
 	// Lifetime hardware-prefetch usefulness counters: the same events as
 	// the HWPref* stats fields but never reset by ResetStats. The adaptive
@@ -132,16 +140,25 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := cfg.SizeBytes / uarch.LineSize / cfg.Assoc
+	lines := cfg.SizeBytes / uarch.LineSize
 	c := &Cache{
-		cfg:     cfg,
-		sets:    make([][]line, sets),
-		setMask: uint64(sets - 1),
-		mshrs:   make([]mshr, cfg.MSHRs),
+		cfg:       cfg,
+		assoc:     cfg.Assoc,
+		setMask:   uint64(lines/cfg.Assoc - 1),
+		tags:      make([]uint64, lines),
+		lru:       make([]uint64, lines),
+		fillReady: make([]int64, lines),
+		src:       make([]Source, lines),
+		dirty:     make([]bool, lines),
+		mshrTag:   make([]uint64, cfg.MSHRs),
+		mshrFill:  make([]int64, cfg.MSHRs),
+		mshrSrc:   make([]Source, cfg.MSHRs),
 	}
-	backing := make([]line, sets*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
+	for i := range c.mshrTag {
+		c.mshrTag[i] = invalidTag
 	}
 	return c
 }
@@ -158,8 +175,23 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // HitLatency returns the configured lookup latency.
 func (c *Cache) HitLatency() int { return c.cfg.HitLatency }
 
+// setBase returns the index of way 0 of the set holding tag.
+//
 //sim:pure index arithmetic only
-func (c *Cache) set(tag uint64) []line { return c.sets[tag&c.setMask] }
+func (c *Cache) setBase(tag uint64) int { return int(tag&c.setMask) * c.assoc }
+
+// find returns the tag-store index of tag's line, or -1 when it is absent.
+//
+//sim:pure
+func (c *Cache) find(tag uint64) int {
+	base := c.setBase(tag)
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == tag {
+			return base + i
+		}
+	}
+	return -1
+}
 
 // Lookup probes for the line containing addr at cycle now.
 //
@@ -168,57 +200,56 @@ func (c *Cache) set(tag uint64) []line { return c.sets[tag&c.setMask] }
 // the line is still in flight). demand=false marks prefetch lookups, which
 // are excluded from the demand hit/miss statistics.
 func (c *Cache) Lookup(addr uint64, now int64, demand bool) (hit bool, ready int64) {
-	tag := addr >> 6
-	set := c.set(tag)
 	if demand {
 		c.stats.Accesses++
 	}
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
-			c.lruClock++
-			ln.lru = c.lruClock
-			if demand {
-				c.stats.Hits++
-				switch ln.src {
-				case SrcRunahead:
-					c.stats.PrefetchUseful++
-				case SrcHW:
-					c.stats.HWPrefUseful++
-					c.lifeHWUseful++
-					if ln.fillReady > now {
-						c.stats.HWPrefLate++
-						c.lifeHWLate++
-					}
-				}
-				ln.src = SrcDemand
-			}
-			ready = now + int64(c.cfg.HitLatency)
-			if ln.fillReady > ready {
-				ready = ln.fillReady
-			}
-			return true, ready
+	i := c.find(addr >> 6)
+	if i < 0 {
+		if demand {
+			c.stats.Misses++
 		}
+		return false, 0
 	}
+	c.lruClock++
+	c.lru[i] = c.lruClock
 	if demand {
-		c.stats.Misses++
+		c.stats.Hits++
+		switch c.src[i] {
+		case SrcRunahead:
+			c.stats.PrefetchUseful++
+		case SrcHW:
+			c.stats.HWPrefUseful++
+			c.lifeHWUseful++
+			if c.fillReady[i] > now {
+				c.stats.HWPrefLate++
+				c.lifeHWLate++
+			}
+		}
+		c.src[i] = SrcDemand
 	}
-	return false, 0
+	ready = now + int64(c.cfg.HitLatency)
+	if c.fillReady[i] > ready {
+		ready = c.fillReady[i]
+	}
+	return true, ready
 }
 
 // Contains reports whether the line holding addr is present, without
-// touching LRU or statistics. Used by tests and invariant checks.
+// touching LRU or statistics.
 //
 //sim:pure
-func (c *Cache) Contains(addr uint64) bool {
-	tag := addr >> 6
-	for i := range c.set(tag) {
-		ln := &c.set(tag)[i]
-		if ln.valid && ln.tag == tag {
-			return true
-		}
+func (c *Cache) Contains(addr uint64) bool { return c.find(addr>>6) >= 0 }
+
+// Holds reports whether the line holding addr is present or has a fill
+// outstanding at cycle now: the redundancy test for a prefetch into this
+// level. It is Contains followed, only on a miss, by MSHRLookup, whose
+// lazy retirement it shares.
+func (c *Cache) Holds(addr uint64, now int64) bool {
+	if c.Contains(addr) {
+		return true
 	}
-	return false
+	_, ok := c.MSHRLookup(addr, now)
+	return ok
 }
 
 // Eviction describes the victim displaced by an Insert.
@@ -236,48 +267,47 @@ type Eviction struct {
 // tags runahead and hardware-prefetch fills for coverage statistics.
 func (c *Cache) Insert(addr uint64, fillReady int64, src Source) Eviction {
 	tag := addr >> 6
-	set := c.set(tag)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
+	base := c.setBase(tag)
+	// One pass finds a present copy, the first invalid way and the first
+	// least-recently-used way; an invalid way wins over the LRU one.
+	empty, victim := -1, -1
+	oldest := ^uint64(0)
+	for i := base; i < base+c.assoc; i++ {
+		switch t := c.tags[i]; {
+		case t == tag:
 			// Already present (two fills raced): keep the earlier data time.
-			if fillReady < ln.fillReady {
-				ln.fillReady = fillReady
+			if fillReady < c.fillReady[i] {
+				c.fillReady[i] = fillReady
 			}
 			return Eviction{}
-		}
-	}
-	// Prefer an invalid way, else the true LRU line.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim == -1 {
-		oldest := ^uint64(0)
-		for i := range set {
-			if set[i].lru < oldest {
-				oldest = set[i].lru
-				victim = i
+		case t == invalidTag:
+			if empty < 0 {
+				empty = i
 			}
+		case c.lru[i] < oldest:
+			oldest, victim = c.lru[i], i
 		}
 	}
 	ev := Eviction{}
-	v := &set[victim]
-	if v.valid {
-		ev = Eviction{Valid: true, Addr: v.tag << 6, Dirty: v.dirty}
+	if empty >= 0 {
+		victim = empty
+	} else {
+		ev = Eviction{Valid: true, Addr: c.tags[victim] << 6, Dirty: c.dirty[victim]}
 		c.stats.Evictions++
-		if v.dirty {
+		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	c.lruClock++
-	*v = line{tag: tag, valid: true, lru: c.lruClock, fillReady: fillReady, src: src}
+	c.tags[victim] = tag
+	c.lru[victim] = c.lruClock
+	c.fillReady[victim] = fillReady
+	c.src[victim] = src
+	c.dirty[victim] = false
 	switch src {
 	case SrcRunahead:
 		c.stats.PrefetchFills++
+		c.raHorizon = max(c.raHorizon, fillReady)
 	case SrcHW:
 		c.stats.HWPrefFills++
 	}
@@ -287,49 +317,52 @@ func (c *Cache) Insert(addr uint64, fillReady int64, src Source) Eviction {
 // MarkDirty flags the line containing addr as modified (store commit).
 // It is a no-op if the line is absent.
 func (c *Cache) MarkDirty(addr uint64) {
-	tag := addr >> 6
-	for i := range c.set(tag) {
-		ln := &c.set(tag)[i]
-		if ln.valid && ln.tag == tag {
-			ln.dirty = true
-			return
-		}
+	if i := c.find(addr >> 6); i >= 0 {
+		c.dirty[i] = true
 	}
 }
 
 // Invalidate drops the line containing addr, returning whether it was
 // present and dirty (the caller owns any required writeback).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	tag := addr >> 6
-	for i := range c.set(tag) {
-		ln := &c.set(tag)[i]
-		if ln.valid && ln.tag == tag {
-			present, dirty = true, ln.dirty
-			ln.valid = false
-			return
-		}
+	i := c.find(addr >> 6)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	c.tags[i] = invalidTag
+	return true, c.dirty[i]
 }
 
 // --- MSHR management -------------------------------------------------
+
+// MSHRProbe is MSHRLookup and MSHRFree in one pass. When addr's line has
+// an outstanding miss at cycle now it returns the fill-completion cycle
+// and ok=true (free is then not counted); otherwise it returns the number
+// of MSHRs available at now. Completed entries for the line are lazily
+// retired exactly as MSHRLookup retires them.
+func (c *Cache) MSHRProbe(addr uint64, now int64) (fillReady int64, ok bool, free int) {
+	tag := addr >> 6
+	for i, t := range c.mshrTag {
+		switch {
+		case t == tag:
+			if c.mshrFill[i] > now {
+				return c.mshrFill[i], true, 0
+			}
+			c.mshrTag[i] = invalidTag // lazily retire completed entries
+			free++
+		case t == invalidTag || c.mshrFill[i] <= now:
+			free++
+		}
+	}
+	return 0, false, free
+}
 
 // MSHRLookup returns the fill-completion cycle for an outstanding miss on
 // addr's line, if one exists at cycle now. Secondary misses merge into the
 // primary miss via this path.
 func (c *Cache) MSHRLookup(addr uint64, now int64) (fillReady int64, ok bool) {
-	tag := addr >> 6
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if m.valid && m.tag == tag {
-			if m.fillReady <= now {
-				m.valid = false // lazily retire completed entries
-				continue
-			}
-			return m.fillReady, true
-		}
-	}
-	return 0, false
+	fillReady, ok, _ = c.MSHRProbe(addr, now)
+	return fillReady, ok
 }
 
 // MSHRAlloc reserves an MSHR for a new miss on addr's line, which will
@@ -337,10 +370,14 @@ func (c *Cache) MSHRLookup(addr uint64, now int64) (fillReady int64, ok bool) {
 // It returns false when all MSHRs are busy, in which case the access must
 // be retried later (modelled as an MSHR stall).
 func (c *Cache) MSHRAlloc(addr uint64, now, fillReady int64, src Source) bool {
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if !m.valid || m.fillReady <= now {
-			*m = mshr{tag: addr >> 6, fillReady: fillReady, valid: true, src: src}
+	for i, t := range c.mshrTag {
+		if t == invalidTag || c.mshrFill[i] <= now {
+			c.mshrTag[i] = addr >> 6
+			c.mshrFill[i] = fillReady
+			c.mshrSrc[i] = src
+			if src == SrcRunahead {
+				c.raHorizon = max(c.raHorizon, fillReady)
+			}
 			return true
 		}
 	}
@@ -348,40 +385,29 @@ func (c *Cache) MSHRAlloc(addr uint64, now, fillReady int64, src Source) bool {
 	return false
 }
 
-// MSHRSource returns the fill source of the outstanding miss on addr's
-// line at cycle now, if one exists. Unlike MSHRLookup it does not retire
-// completed entries (it is a pure probe used by the PRE-aware prefetch
-// filter, which must not perturb state).
+// RunaheadInFlight reports whether a runahead fill of addr's line is in
+// flight at cycle now: the line is tag-present with SrcRunahead and data
+// not yet arrived (the resource-reservation model installs lines at miss
+// issue), or the first MSHR holding an in-flight miss on the line was
+// allocated by runahead. It touches no LRU, statistics or MSHR state —
+// the PRE-aware prefetch filter's probe — and costs one comparison once
+// now reaches the cache's runahead-fill horizon.
 //
 //sim:pure
-func (c *Cache) MSHRSource(addr uint64, now int64) (Source, bool) {
+func (c *Cache) RunaheadInFlight(addr uint64, now int64) bool {
+	if now >= c.raHorizon {
+		return false
+	}
 	tag := addr >> 6
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if m.valid && m.tag == tag && m.fillReady > now {
-			return m.src, true
+	if i := c.find(tag); i >= 0 && c.fillReady[i] > now && c.src[i] == SrcRunahead {
+		return true
+	}
+	for i, t := range c.mshrTag {
+		if t == tag && c.mshrFill[i] > now {
+			return c.mshrSrc[i] == SrcRunahead
 		}
 	}
-	return SrcDemand, false
-}
-
-// InFlightSource returns the fill source of addr's line when the line is
-// tag-present but its data has not yet arrived (fillReady > now), without
-// touching LRU or statistics. The resource-reservation timing model
-// installs lines at miss issue, so "who is currently fetching this line"
-// lives on the line itself; the PRE-aware prefetch filter probes it to
-// recognize in-flight runahead fills.
-//
-//sim:pure
-func (c *Cache) InFlightSource(addr uint64, now int64) (Source, bool) {
-	tag := addr >> 6
-	for i := range c.set(tag) {
-		ln := &c.set(tag)[i]
-		if ln.valid && ln.tag == tag && ln.fillReady > now {
-			return ln.src, true
-		}
-	}
-	return SrcDemand, false
+	return false
 }
 
 // NextMSHRRelease returns the earliest cycle strictly after now at which
@@ -394,10 +420,9 @@ func (c *Cache) InFlightSource(addr uint64, now int64) (Source, bool) {
 func (c *Cache) NextMSHRRelease(now int64) (int64, bool) {
 	var best int64
 	ok := false
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if m.valid && m.fillReady > now && (!ok || m.fillReady < best) {
-			best = m.fillReady
+	for i, t := range c.mshrTag {
+		if f := c.mshrFill[i]; t != invalidTag && f > now && (!ok || f < best) {
+			best = f
 			ok = true
 		}
 	}
@@ -434,9 +459,8 @@ func (c *Cache) LifetimeHWPref() (useful, late int64) {
 // MSHRFree counts the MSHRs available at cycle now.
 func (c *Cache) MSHRFree(now int64) int {
 	free := 0
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if !m.valid || m.fillReady <= now {
+	for i, t := range c.mshrTag {
+		if t == invalidTag || c.mshrFill[i] <= now {
 			free++
 		}
 	}
@@ -444,14 +468,15 @@ func (c *Cache) MSHRFree(now int64) int {
 }
 
 // NumSets returns the number of sets (for tests).
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return int(c.setMask) + 1 }
 
 // OccupiedWays counts valid lines in the set holding addr (for tests and
 // invariant checks).
 func (c *Cache) OccupiedWays(addr uint64) int {
+	base := c.setBase(addr >> 6)
 	n := 0
-	for i := range c.set(addr >> 6) {
-		if c.set(addr >> 6)[i].valid {
+	for _, t := range c.tags[base : base+c.assoc] {
+		if t != invalidTag {
 			n++
 		}
 	}

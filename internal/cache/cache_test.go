@@ -334,46 +334,100 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 }
 
 // TestMSHRSourceTracksRequester: MSHRs carry the fill source of the
-// access that allocated them, visible only while the fill is in flight.
+// access that allocated them, and RunaheadInFlight sees a runahead-tagged
+// one only while its fill is in flight.
 func TestMSHRSourceTracksRequester(t *testing.T) {
 	c := New(Config{Name: "t", SizeBytes: 4096, Assoc: 4, HitLatency: 1, MSHRs: 4})
 	c.MSHRAlloc(0x1000, 0, 100, SrcRunahead)
 	c.MSHRAlloc(0x2000, 0, 100, SrcHW)
-	if src, ok := c.MSHRSource(0x1000, 50); !ok || src != SrcRunahead {
-		t.Errorf("MSHRSource(0x1000) = %v,%v, want SrcRunahead,true", src, ok)
+	if !c.RunaheadInFlight(0x1000, 50) {
+		t.Error("runahead-allocated MSHR not reported in flight")
 	}
-	if src, ok := c.MSHRSource(0x2000, 50); !ok || src != SrcHW {
-		t.Errorf("MSHRSource(0x2000) = %v,%v, want SrcHW,true", src, ok)
+	if c.RunaheadInFlight(0x2000, 50) {
+		t.Error("hardware-prefetch MSHR reported as runahead")
 	}
-	if _, ok := c.MSHRSource(0x3000, 50); ok {
-		t.Error("MSHRSource found a miss that was never allocated")
+	if c.RunaheadInFlight(0x3000, 50) {
+		t.Error("RunaheadInFlight found a miss that was never allocated")
 	}
 	// Completed fills stop reporting.
-	if _, ok := c.MSHRSource(0x1000, 100); ok {
-		t.Error("MSHRSource reported a completed fill as in flight")
+	if c.RunaheadInFlight(0x1000, 100) {
+		t.Error("RunaheadInFlight reported a completed fill as in flight")
+	}
+	// The first in-flight MSHR on the line decides: a hardware fill ahead
+	// of a runahead one hides it until the hardware fill completes.
+	c.MSHRAlloc(0x4000, 0, 80, SrcHW)
+	c.MSHRAlloc(0x4000, 0, 90, SrcRunahead)
+	if c.RunaheadInFlight(0x4000, 50) {
+		t.Error("first in-flight MSHR is a hardware fill, want false")
+	}
+	if !c.RunaheadInFlight(0x4000, 85) {
+		t.Error("hardware fill completed, the runahead fill is next: want true")
 	}
 }
 
-// TestInFlightSource: a tag-present line reports its fill source until
-// the data arrives, without touching LRU or statistics.
-func TestInFlightSource(t *testing.T) {
+// TestRunaheadInFlightLine: a tag-present runahead line reports in flight
+// until its data arrives, without touching LRU or statistics.
+func TestRunaheadInFlightLine(t *testing.T) {
 	c := New(Config{Name: "t", SizeBytes: 4096, Assoc: 4, HitLatency: 1, MSHRs: 4})
 	c.Insert(0x1000, 200, SrcRunahead)
 	before := c.Stats()
-	if src, ok := c.InFlightSource(0x1000, 100); !ok || src != SrcRunahead {
-		t.Errorf("InFlightSource = %v,%v, want SrcRunahead,true", src, ok)
+	if !c.RunaheadInFlight(0x1000, 100) {
+		t.Error("in-flight runahead line not reported")
 	}
-	if _, ok := c.InFlightSource(0x1000, 200); ok {
-		t.Error("InFlightSource reported an arrived line as in flight")
+	if c.RunaheadInFlight(0x1000, 200) {
+		t.Error("RunaheadInFlight reported an arrived line as in flight")
 	}
 	if c.Stats() != before {
-		t.Error("InFlightSource perturbed statistics")
+		t.Error("RunaheadInFlight perturbed statistics")
 	}
 	// A demand hit clears the tag: the line no longer filters.
 	c.Insert(0x2000, 300, SrcRunahead)
 	c.Lookup(0x2000, 100, true)
-	if src, ok := c.InFlightSource(0x2000, 150); ok && src == SrcRunahead {
-		t.Error("demanded line still reports SrcRunahead")
+	if c.RunaheadInFlight(0x2000, 150) {
+		t.Error("demanded line still reports runahead in flight")
+	}
+	// Hardware and demand fills never count, however late they land.
+	c.Insert(0x3000, 900, SrcHW)
+	c.Insert(0x5000, 900, SrcDemand)
+	if c.RunaheadInFlight(0x3000, 250) || c.RunaheadInFlight(0x5000, 250) {
+		t.Error("non-runahead line reported as runahead in flight")
+	}
+}
+
+// TestMSHRProbeMatchesLookupAndFree: the one-pass probe answers what
+// MSHRLookup and MSHRFree answer separately.
+func TestMSHRProbeMatchesLookupAndFree(t *testing.T) {
+	c := smallCache() // 4 MSHRs
+	c.MSHRAlloc(0x1000, 0, 100, SrcDemand)
+	c.MSHRAlloc(0x2000, 0, 50, SrcDemand)
+	if fill, ok, _ := c.MSHRProbe(0x1008, 10); !ok || fill != 100 {
+		t.Errorf("probe in flight = (%d,%v), want (100,true)", fill, ok)
+	}
+	if _, ok, free := c.MSHRProbe(0x3000, 10); ok || free != 2 {
+		t.Errorf("probe absent at 10 = (%v, free %d), want (false, 2)", ok, free)
+	}
+	// 0x2000 completed at 50: it no longer matches and counts as free.
+	if _, ok, free := c.MSHRProbe(0x2000, 60); ok || free != 3 {
+		t.Errorf("probe completed at 60 = (%v, free %d), want (false, 3)", ok, free)
+	}
+	// The probe retired it, so not even an earlier cycle sees it.
+	if _, ok := c.MSHRLookup(0x2000, 10); ok {
+		t.Error("retired MSHR matched again")
+	}
+}
+
+// TestInsertVictimChoice: an invalid way beats the LRU way.
+func TestInsertVictimChoice(t *testing.T) {
+	c := New(Config{Name: "T", SizeBytes: 4 * uarch.LineSize, Assoc: 4, HitLatency: 1, MSHRs: 1})
+	for _, a := range []uint64{0x0, 0x1000, 0x2000, 0x3000} {
+		c.Insert(a, 0, SrcDemand)
+	}
+	c.Invalidate(0x2000)
+	if ev := c.Insert(0x4000, 0, SrcDemand); ev.Valid {
+		t.Errorf("insert with a free way evicted %#x", ev.Addr)
+	}
+	if ev := c.Insert(0x5000, 0, SrcDemand); !ev.Valid || ev.Addr != 0x0 {
+		t.Errorf("evicted %+v, want the LRU line 0x0", ev)
 	}
 }
 

@@ -90,7 +90,7 @@ func TestAnnotationRegistryParsesFromRepoSources(t *testing.T) {
 		{"internal/runahead/chaincache.go", "Lookup", annot.KindHotPath},
 		{"internal/runahead/chaincache.go", "Peek", annot.KindPure},
 		{"internal/cache/cache.go", "Contains", annot.KindPure},
-		{"internal/cache/cache.go", "InFlightSource", annot.KindPure},
+		{"internal/cache/cache.go", "RunaheadInFlight", annot.KindPure},
 		{"internal/mem/mem.go", "access", annot.KindHotPath},
 		{"internal/mem/mem.go", "filteredByRunahead", annot.KindPure},
 	}

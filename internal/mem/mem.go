@@ -442,11 +442,12 @@ func (h *Hierarchy) access(l1 *cache.Cache, addr uint64, now int64, demand bool,
 	if hit, ready := l1.Lookup(addr, now, demand); hit {
 		return Result{Ready: ready, Level: LevelL1}, true
 	}
-	if fill, ok := l1.MSHRLookup(addr, now); ok {
+	fill, inFlight, free := l1.MSHRProbe(addr, now)
+	if inFlight {
 		// Secondary miss: merge into the outstanding fill.
 		return Result{Ready: fill, Level: LevelMem}, true
 	}
-	if l1.MSHRFree(now) == 0 {
+	if free == 0 {
 		l1.MSHRAlloc(addr, now, 0, src) // records the stall; allocation fails
 		return Result{}, false
 	}
@@ -483,10 +484,11 @@ func (h *Hierarchy) accessL2(addr uint64, t int64, demand, train bool, src cache
 	if hit {
 		return Result{Ready: ready, Level: LevelL2}, true
 	}
-	if fill, ok := h.l2.MSHRLookup(addr, t); ok {
+	fill, inFlight, free := h.l2.MSHRProbe(addr, t)
+	if inFlight {
 		return Result{Ready: fill, Level: LevelMem}, true
 	}
-	if h.l2.MSHRFree(t) == 0 {
+	if free == 0 {
 		h.l2.MSHRAlloc(addr, t, 0, src)
 		return Result{}, false
 	}
@@ -494,16 +496,17 @@ func (h *Hierarchy) accessL2(addr uint64, t int64, demand, train bool, src cache
 
 	// L3.
 	if hit, ready := h.l3.Lookup(addr, t2, demand); hit {
-		h.fillL2(addr, ready, src, t)
+		h.fillL2(addr, ready, src)
 		h.l2.MSHRAlloc(addr, t, ready, src)
 		return Result{Ready: ready, Level: LevelL3}, true
 	}
-	if fill, ok := h.l3.MSHRLookup(addr, t2); ok {
-		h.fillL2(addr, fill, src, t)
+	fill, inFlight, free = h.l3.MSHRProbe(addr, t2)
+	if inFlight {
+		h.fillL2(addr, fill, src)
 		h.l2.MSHRAlloc(addr, t, fill, src)
 		return Result{Ready: fill, Level: LevelMem}, true
 	}
-	if h.l3.MSHRFree(t2) == 0 {
+	if free == 0 {
 		h.l3.MSHRAlloc(addr, t2, 0, src)
 		return Result{}, false
 	}
@@ -521,7 +524,7 @@ func (h *Hierarchy) accessL2(addr uint64, t int64, demand, train bool, src cache
 	ev3 := h.l3.Insert(addr, done, l3Src)
 	h.writeback(LevelL3, ev3, done)
 	h.l3.MSHRAlloc(addr, t2, done, src)
-	h.fillL2(addr, done, src, t)
+	h.fillL2(addr, done, src)
 	h.l2.MSHRAlloc(addr, t, done, src)
 	return Result{Ready: done, Level: LevelMem}, true
 }
@@ -535,10 +538,9 @@ func (h *Hierarchy) fill(l1 *cache.Cache, addr uint64, ready int64, src cache.So
 }
 
 // fillL2 installs a line into the L2 on its way up.
-func (h *Hierarchy) fillL2(addr uint64, ready int64, src cache.Source, now int64) {
+func (h *Hierarchy) fillL2(addr uint64, ready int64, src cache.Source) {
 	ev := h.l2.Insert(addr, ready, src)
 	h.writeback(LevelL2, ev, ready)
-	_ = now
 }
 
 // Load issues a demand data load for the line containing addr, with no
@@ -654,9 +656,9 @@ func (h *Hierarchy) drainPrefetchers(now int64) {
 			switch {
 			case h.filteredByRunahead(addr, now, h.l2, h.l3):
 				h.pf2.cnt.filteredRA++
-			case h.l2.Contains(addr) || h.l3.Contains(addr):
-				h.pf2.cnt.redundant++
-			case h.inFlight(h.l2, addr, now):
+			case h.l3.Contains(addr) || h.l2.Holds(addr, now):
+				// L3 first: Holds lazily retires completed L2 MSHRs, which
+				// must happen only when neither level has the line.
 				h.pf2.cnt.redundant++
 			default:
 				if _, ok := h.accessL2(addr, now, false, false, cache.SrcHW); ok {
@@ -683,9 +685,7 @@ func (h *Hierarchy) drainL1(e *engine, l1 *cache.Cache, now int64) {
 		switch {
 		case h.filteredByRunahead(addr, now, l1, h.l2, h.l3):
 			e.cnt.filteredRA++
-		case l1.Contains(addr):
-			e.cnt.redundant++
-		case h.inFlight(l1, addr, now):
+		case l1.Holds(addr, now):
 			e.cnt.redundant++
 		default:
 			if _, ok := h.access(l1, addr, now, false, cache.SrcHW); ok {
@@ -708,11 +708,12 @@ func (h *Hierarchy) drainL1(e *engine, l1 *cache.Cache, now int64) {
 // runahead fill in flight is visible two ways — as a tag-present line
 // whose data has not arrived (the resource-reservation model installs
 // lines at miss issue) or, after an eviction, as a bare runahead-tagged
-// MSHR — and both probes are side-effect free. Counting these separately
-// from Redundant is what makes the runahead/HW-prefetch interference
-// term directly measurable; checking the deeper levels additionally
-// stops requests that would otherwise issue and tie up the engine
-// level's MSHR merging into a fill runahead already started.
+// MSHR — and cache.RunaheadInFlight answers both, side-effect free.
+// Counting these separately from Redundant is what makes the
+// runahead/HW-prefetch interference term directly measurable; checking
+// the deeper levels additionally stops requests that would otherwise
+// issue and tie up the engine level's MSHR merging into a fill runahead
+// already started.
 //
 //sim:pure
 func (h *Hierarchy) filteredByRunahead(addr uint64, now int64, levels ...*cache.Cache) bool {
@@ -720,21 +721,11 @@ func (h *Hierarchy) filteredByRunahead(addr uint64, now int64, levels ...*cache.
 		return false
 	}
 	for _, c := range levels {
-		if src, ok := c.InFlightSource(addr, now); ok && src == cache.SrcRunahead {
-			return true
-		}
-		if src, ok := c.MSHRSource(addr, now); ok && src == cache.SrcRunahead {
+		if c.RunaheadInFlight(addr, now) {
 			return true
 		}
 	}
 	return false
-}
-
-// inFlight reports whether a fill for addr's line is already outstanding
-// at the given cache.
-func (h *Hierarchy) inFlight(c *cache.Cache, addr uint64, now int64) bool {
-	_, ok := c.MSHRLookup(addr, now)
-	return ok
 }
 
 // NextMSHRRelease returns the earliest core cycle strictly after now at

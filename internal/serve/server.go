@@ -141,6 +141,12 @@ type Stats struct {
 // maxTimings bounds Stats.Jobs.
 const maxTimings = 50
 
+// maxFinishedJobs bounds how many finished jobs the server retains. Each
+// one holds its plan, events and results document; past the bound the
+// job that finished first is forgotten and its id answers 404. Queued
+// and running jobs are never evicted.
+const maxFinishedJobs = 128
+
 // job is the server-side state of one submission.
 type job struct {
 	id     string
@@ -173,8 +179,10 @@ type Server struct {
 	cfg   Config
 	mu    sync.Mutex
 	jobs  map[string]*job
-	order []string
-	next  int
+	order []string // ids of retained jobs, in submission order
+	// finished lists the ids of retained finished jobs, oldest first.
+	finished []string
+	next     int
 
 	submitted, completed, failed, cancelled int64
 	verifiedHits, verifyFailures            int64
@@ -504,6 +512,17 @@ func (s *Server) runJob(j *job) {
 	s.finish(j, StateDone, buf.Bytes(), &meta, "")
 }
 
+// evict forgets a finished job. The caller holds s.mu.
+func (s *Server) evict(id string) {
+	delete(s.jobs, id)
+	for i, o := range s.order {
+		if o == id {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+}
+
 // finish moves a job to a terminal state, appends the terminal event,
 // and updates the server aggregates. The aggregates move first, so a
 // client that has seen the terminal event also sees the job in Stats.
@@ -542,6 +561,11 @@ func (s *Server) finish(j *job, state string, result []byte, meta *exp.RunMeta, 
 	s.timings = append(s.timings, timing)
 	if len(s.timings) > maxTimings {
 		s.timings = s.timings[len(s.timings)-maxTimings:]
+	}
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > maxFinishedJobs {
+		s.evict(s.finished[0])
+		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
 

@@ -672,3 +672,56 @@ func TestKnobNamesSortedAndComplete(t *testing.T) {
 		t.Fatalf("KnobNames incomplete: %v", names)
 	}
 }
+
+// Retention: past maxFinishedJobs finished jobs the one that finished
+// first is forgotten (404 on every endpoint) while newer ones stay, and
+// a job still running is never evicted however old it is.
+func TestServerEvictsOldestFinishedJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	c, err := cache.New(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newEnv(t, Config{SimWorkers: 1, JobWorkers: 2, Cache: c})
+	blocker := env.submit(t, longSpec())
+	defer env.srv.Cancel(blocker.ID)
+	env.waitRunning(t, blocker.ID)
+
+	var ids []string
+	for i := 0; i < maxFinishedJobs+2; i++ {
+		st := env.submit(t, testSpec(1))
+		env.streamEvents(t, st.ID)
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids[:2] {
+		if _, ok := env.srv.Job(id); ok {
+			t.Errorf("job %s retained past the bound", id)
+		}
+		for _, path := range []string{"", "/events", "/result"} {
+			resp, err := http.Get(env.ts.URL + "/v1/jobs/" + id + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET evicted job %s%s: status %d, want 404", id, path, resp.StatusCode)
+			}
+		}
+	}
+	for _, id := range ids[2:] {
+		if _, code := env.result(t, id); code != http.StatusOK {
+			t.Fatalf("retained job %s: result status %d, want 200", id, code)
+		}
+	}
+	if st, ok := env.srv.Job(blocker.ID); !ok || st.State != StateRunning {
+		t.Errorf("running job evicted or finished early: %+v, %v", st, ok)
+	}
+	env.srv.mu.Lock()
+	retained, order := len(env.srv.jobs), len(env.srv.order)
+	env.srv.mu.Unlock()
+	if retained != maxFinishedJobs+1 || order != retained {
+		t.Errorf("server retains %d jobs (%d ordered), want %d", retained, order, maxFinishedJobs+1)
+	}
+}
