@@ -98,7 +98,6 @@ type Stats struct {
 // contiguous run of tags and touches the other arrays only on a match.
 type Cache struct {
 	cfg      Config
-	assoc    int
 	setMask  uint64
 	lruClock uint64
 
@@ -143,7 +142,6 @@ func New(cfg Config) *Cache {
 	lines := cfg.SizeBytes / uarch.LineSize
 	c := &Cache{
 		cfg:       cfg,
-		assoc:     cfg.Assoc,
 		setMask:   uint64(lines/cfg.Assoc - 1),
 		tags:      make([]uint64, lines),
 		lru:       make([]uint64, lines),
@@ -178,14 +176,14 @@ func (c *Cache) HitLatency() int { return c.cfg.HitLatency }
 // setBase returns the index of way 0 of the set holding tag.
 //
 //sim:pure index arithmetic only
-func (c *Cache) setBase(tag uint64) int { return int(tag&c.setMask) * c.assoc }
+func (c *Cache) setBase(tag uint64) int { return int(tag&c.setMask) * c.cfg.Assoc }
 
 // find returns the tag-store index of tag's line, or -1 when it is absent.
 //
 //sim:pure
 func (c *Cache) find(tag uint64) int {
 	base := c.setBase(tag)
-	for i, t := range c.tags[base : base+c.assoc] {
+	for i, t := range c.tags[base : base+c.cfg.Assoc] {
 		if t == tag {
 			return base + i
 		}
@@ -272,7 +270,7 @@ func (c *Cache) Insert(addr uint64, fillReady int64, src Source) Eviction {
 	// least-recently-used way; an invalid way wins over the LRU one.
 	empty, victim := -1, -1
 	oldest := ^uint64(0)
-	for i := base; i < base+c.assoc; i++ {
+	for i := base; i < base+c.cfg.Assoc; i++ {
 		switch t := c.tags[i]; {
 		case t == tag:
 			// Already present (two fills raced): keep the earlier data time.
@@ -475,7 +473,7 @@ func (c *Cache) NumSets() int { return int(c.setMask) + 1 }
 func (c *Cache) OccupiedWays(addr uint64) int {
 	base := c.setBase(addr >> 6)
 	n := 0
-	for _, t := range c.tags[base : base+c.assoc] {
+	for _, t := range c.tags[base : base+c.cfg.Assoc] {
 		if t != invalidTag {
 			n++
 		}
