@@ -21,17 +21,11 @@ import (
 // memory-bound workload: ns and allocations per committed µop, plus the
 // fraction of simulated cycles the event-driven engine skipped.
 func benchStep(b *testing.B, mode presim.Mode) {
-	benchStepFidelity(b, mode, presim.FidelityExact)
-}
-
-func benchStepFidelity(b *testing.B, mode presim.Mode, fid presim.Fidelity) {
 	w, err := workload.ByName("milc")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.Default(mode)
-	cfg.Fidelity = fid
-	c, err := core.New(cfg, w.New())
+	c, err := core.New(core.Default(mode), w.New())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,22 +48,6 @@ func BenchmarkStep_RA(b *testing.B)       { benchStep(b, presim.ModeRA) }
 func BenchmarkStep_RABuffer(b *testing.B) { benchStep(b, presim.ModeRABuffer) }
 func BenchmarkStep_PRE(b *testing.B)      { benchStep(b, presim.ModePRE) }
 func BenchmarkStep_PREEMQ(b *testing.B)   { benchStep(b, presim.ModePREEMQ) }
-
-// Fast-runahead fidelity tier variants of the same measurement: chain
-// cache + episode emulation on, everything else identical. The
-// exact-vs-fast gap per mode is the BENCH_2.json headline.
-func BenchmarkStep_FastRA(b *testing.B) {
-	benchStepFidelity(b, presim.ModeRA, presim.FidelityFastRunahead)
-}
-func BenchmarkStep_FastRABuffer(b *testing.B) {
-	benchStepFidelity(b, presim.ModeRABuffer, presim.FidelityFastRunahead)
-}
-func BenchmarkStep_FastPRE(b *testing.B) {
-	benchStepFidelity(b, presim.ModePRE, presim.FidelityFastRunahead)
-}
-func BenchmarkStep_FastPREEMQ(b *testing.B) {
-	benchStepFidelity(b, presim.ModePREEMQ, presim.FidelityFastRunahead)
-}
 
 // BenchmarkQuickstartSweep times the quickstart scenario end to end —
 // libquantum under OoO and PRE with the golden 200k-µop window, fresh
@@ -100,22 +78,8 @@ func BenchmarkQuickstartSweep(b *testing.B) {
 // archetype representatives with quickstart-sized windows — the broader
 // trajectory point for the speedup-vs-baseline comparison.
 func BenchmarkMemoryBoundSweep(b *testing.B) {
-	benchMemoryBoundSweep(b, presim.FidelityExact)
-}
-
-// BenchmarkMemoryBoundSweepFast is the same sweep under the fast-runahead
-// tier — the aggregate exact-vs-fast wall-clock comparison in
-// BENCH_2.json. OoO cells ignore the tier (the core only builds the chain
-// cache for runahead modes), so the ratio is diluted by the shared
-// baseline exactly as a real sweep's would be.
-func BenchmarkMemoryBoundSweepFast(b *testing.B) {
-	benchMemoryBoundSweep(b, presim.FidelityFastRunahead)
-}
-
-func benchMemoryBoundSweep(b *testing.B, fid presim.Fidelity) {
 	opt := presim.DefaultOptions()
 	opt.MeasureUops = 200_000
-	opt.Fidelity = fid
 	names := []string{"libquantum", "mcf", "milc", "lbm", "omnetpp"}
 	b.ReportAllocs()
 	b.ResetTimer()

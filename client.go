@@ -8,7 +8,7 @@ import (
 // Sweeps as a service (internal/serve): cmd/simd is a long-running
 // HTTP/JSON simulation server with a content-addressed result cache, and
 // Client is its programmatic API. A JobSpec is the declarative,
-// JSON-serializable equivalent of an Experiment — named workloads, named
+// JSON-encodable equivalent of an Experiment — named workloads, named
 // modes, named prefetch variants, whitelisted knobs, a synth population —
 // and a finished job's results document is byte-identical to what a
 // local run of the same matrix writes, whether the cells were simulated

@@ -24,7 +24,6 @@ func main() {
 	pf := flag.String("pf", "no-pf", "hardware prefetchers: no-pf, stride, best-offset, stride+bo, l1i-nl, throttled, filtered, adaptive")
 	all := flag.Bool("all", false, "run every mechanism and compare")
 	list := flag.Bool("list", false, "list available benchmarks and exit")
-	fidelity := flag.String("fidelity", "exact", "simulation fidelity tier: exact, fast-runahead")
 	warmup := flag.Int64("warmup", 50_000, "warmup µops")
 	measure := flag.Int64("n", 300_000, "measured µops")
 	tracefile := flag.String("tracefile", "", "write a Chrome-trace (Perfetto) sidecar of the measured window to this file")
@@ -50,15 +49,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fid, err := presim.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "presim:", err)
-		os.Exit(2)
-	}
 	opt := presim.DefaultOptions()
 	opt.WarmupUops = *warmup
 	opt.MeasureUops = *measure
-	opt.Fidelity = fid
 	opt.Configure = func(c *core.Config) { c.ApplyPrefetch(variant) }
 
 	if *all {
@@ -101,10 +94,6 @@ func main() {
 	}
 	fmt.Printf("benchmark       %s (%s)\n", r.Workload, w.Class)
 	fmt.Printf("mechanism       %s\n", r.Mode)
-	if r.Fidelity != "" {
-		fmt.Printf("fidelity        %s (%d emulated episodes, %d emulated prefetches, cache %d hit / %d miss, overlap %.2f)\n",
-			r.Fidelity, r.EmulatedEpisodes, r.EmulatedPrefetches, r.ChainCacheHits, r.ChainCacheMisses, r.ChainOverlapMean)
-	}
 	if variant.L1D.Enabled() || variant.L2.Enabled() {
 		fmt.Printf("prefetchers     %s\n", variant.Name)
 	}

@@ -27,9 +27,8 @@
 // orchestrator (internal/exp): each sweep becomes one exp.Matrix whose
 // points are the parameter values, the orchestrator dedupes the shared
 // OoO baselines and shards the unique runs across -workers cores, and
-// -json captures the full schema-versioned results document. -serial
-// keeps the original one-run-at-a-time loop for apples-to-apples
-// verification; both paths print identical numbers.
+// -json captures the full schema-versioned results document. -workers 1
+// runs one simulation at a time; output is identical at any width.
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 	presim "repro"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -57,11 +55,9 @@ func main() {
 	doSynth := flag.Bool("synth", false, "run a seeded scenario-population sweep")
 	seeds := flag.Int("seeds", 20, "population size for -synth")
 	synthSeed := flag.Uint64("synthseed", 0, "population base seed for -synth (0 = date-pinned default)")
-	fidelity := flag.String("fidelity", "exact", "simulation fidelity tier: exact, fast-runahead")
 	warmup := flag.Int64("warmup", 50_000, "warmup µops per run")
 	measure := flag.Int64("n", 200_000, "measured µops per run")
 	workers := flag.Int("workers", 0, "worker pool width (0 = one per CPU)")
-	serial := flag.Bool("serial", false, "run the legacy serial loop instead of the orchestrator")
 	jsonDir := flag.String("json", "", "directory to write schema-versioned results JSON into")
 	timing := flag.Bool("time", false, "report wall-clock time per sweep")
 	progress := flag.Bool("progress", false, "print live per-run progress to stderr as the sweep advances")
@@ -71,10 +67,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at sweep end to this file")
 	flag.Parse()
 
-	if *serial && (*jsonDir != "" || *workers != 0 || *progress || *tracefile != "" || *server != "") {
-		fmt.Fprintln(os.Stderr, "sweep: -serial is the plain verification loop; it supports none of -json, -workers, -progress, -tracefile, -server")
-		os.Exit(2)
-	}
 	if *server != "" && (*tracefile != "" || *workers != 0) {
 		fmt.Fprintln(os.Stderr, "sweep: -server runs on the remote machine; -tracefile and -workers are local-run flags")
 		os.Exit(2)
@@ -106,14 +98,6 @@ func main() {
 	}
 	if *warmup <= 0 {
 		fmt.Fprintf(os.Stderr, "sweep: -warmup must be positive (got %d)\n", *warmup)
-		os.Exit(2)
-	}
-
-	// An unknown tier must die here, not as a confusing per-cell Validate
-	// error deep inside the orchestrator.
-	fid, err := presim.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
 
@@ -163,11 +147,10 @@ func main() {
 	opt := presim.DefaultOptions()
 	opt.WarmupUops = *warmup
 	opt.MeasureUops = *measure
-	opt.Fidelity = fid
 
-	s := sweeper{opt: opt, workers: *workers, serial: *serial, jsonDir: *jsonDir,
+	s := sweeper{opt: opt, workers: *workers, jsonDir: *jsonDir,
 		timing: *timing, progress: *progress, tracefile: *tracefile,
-		server: *server, fidelity: *fidelity}
+		server: *server}
 
 	any := false
 	if *doSST {
@@ -196,18 +179,10 @@ func main() {
 	}
 	if *doPF {
 		any = true
-		if *serial {
-			fmt.Fprintln(os.Stderr, "sweep: -pf is orchestrator-only; drop -serial")
-			os.Exit(2)
-		}
 		s.sweepPF()
 	}
 	if *doSynth {
 		any = true
-		if *serial {
-			fmt.Fprintln(os.Stderr, "sweep: -synth is orchestrator-only; drop -serial")
-			os.Exit(2)
-		}
 		s.sweepSynth(*seeds, *synthSeed)
 	}
 	if !any {
@@ -219,13 +194,11 @@ func main() {
 type sweeper struct {
 	opt       presim.Options
 	workers   int
-	serial    bool
 	jsonDir   string
 	timing    bool
 	progress  bool
 	tracefile string
 	server    string // simulation-server URL; "" = run locally
-	fidelity  string // the -fidelity flag verbatim, for remote job specs
 }
 
 // runOpts assembles the orchestrator options: the pool width, per-run
@@ -263,8 +236,7 @@ func (s sweeper) sweep(name, title string, mode presim.Mode, values []int,
 	knob string, apply func(*core.Config, int)) {
 	fmt.Println(title)
 	start := time.Now()
-	switch {
-	case s.server != "":
+	if s.server != "" {
 		points := make([]presim.JobPoint, len(values))
 		for i, v := range values {
 			points[i] = presim.JobPoint{
@@ -279,12 +251,9 @@ func (s sweeper) sweep(name, title string, mode presim.Mode, values []int,
 			Points:      points,
 			WarmupUops:  s.opt.WarmupUops,
 			MeasureUops: s.opt.MeasureUops,
-			Fidelity:    s.fidelity,
 			AddBaseline: true,
 		})
-	case s.serial:
-		s.sweepSerial(mode, values, apply)
-	default:
+	} else {
 		s.sweepParallel(name, mode, values, apply)
 	}
 	if s.timing {
@@ -406,7 +375,6 @@ func (s sweeper) sweepPF() {
 			Points:      points,
 			WarmupUops:  s.opt.WarmupUops,
 			MeasureUops: s.opt.MeasureUops,
-			Fidelity:    s.fidelity,
 		})
 		return
 	}
@@ -486,7 +454,6 @@ func (s sweeper) sweepSynth(count int, baseSeed uint64) {
 			Population:  pop,
 			WarmupUops:  s.opt.WarmupUops,
 			MeasureUops: s.opt.MeasureUops,
-			Fidelity:    s.fidelity,
 		})
 		return
 	}
@@ -524,35 +491,6 @@ func (s sweeper) sweepSynth(count int, baseSeed uint64) {
 		fmt.Printf("  (per-seed parameters recorded in %s/synth_population.json cells[].synth)\n", s.jsonDir)
 	}
 	s.writeTrace(set)
-}
-
-// sweepSerial is the pre-orchestrator loop: one run at a time, with the
-// OoO baseline re-simulated for every parameter value. Kept as the
-// verification reference for the parallel path.
-func (s sweeper) sweepSerial(mode presim.Mode, values []int,
-	apply func(*core.Config, int)) {
-	ws := presim.Workloads()
-	for _, v := range values {
-		o := s.opt
-		o.Configure = func(c *core.Config) { apply(c, v) }
-		baseOpt := s.opt // the baseline ignores runahead-structure knobs
-		baseOpt.Configure = func(c *core.Config) {
-			apply(c, v) // but memory-system knobs must match
-		}
-		var speedups []float64
-		for _, w := range ws {
-			base, err := presim.Run(w, presim.ModeOoO, baseOpt)
-			if err != nil {
-				fatal(err)
-			}
-			r, err := presim.Run(w, mode, o)
-			if err != nil {
-				fatal(err)
-			}
-			speedups = append(speedups, r.Speedup(base))
-		}
-		fmt.Printf("  %6d: %.3fx\n", v, stats.GeoMean(speedups))
-	}
 }
 
 func fatal(err error) {

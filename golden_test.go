@@ -51,14 +51,6 @@ func measureGolden(t *testing.T) goldenStats {
 	}
 	opt := presim.DefaultOptions()
 	opt.MeasureUops = 200_000
-	// Hard guard, not a formality: the golden numbers are the pinned
-	// exact-tier reference, and `-update` rewrites them from whatever this
-	// function measures. If the default tier ever becomes (or is edited
-	// to) fast-runahead, regenerating would silently re-baseline the repo
-	// on the approximate tier.
-	if opt.Fidelity != presim.FidelityExact {
-		t.Fatalf("golden stats must be measured in the exact fidelity tier, got %v — never regenerate them from fast-runahead", opt.Fidelity)
-	}
 	base, err := presim.Run(w, presim.ModeOoO, opt)
 	if err != nil {
 		t.Fatal(err)

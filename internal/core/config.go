@@ -70,44 +70,6 @@ func Modes() []Mode {
 	return []Mode{ModeOoO, ModeRA, ModeRABuffer, ModePRE, ModePREEMQ}
 }
 
-// Fidelity selects the simulation fidelity tier. The default, exact,
-// executes every runahead µop through the pipeline and is the tier all
-// byte-identical contracts are pinned against. The fast-runahead tier
-// trades fidelity for wall-clock: runahead episodes whose stalling-load
-// PC hits the chain cache are emulated coarsely (the episode's predicted
-// prefetch set is issued into the hierarchy in one step and the core
-// fast-forwards to the episode exit) instead of being executed µop by
-// µop. Fast-tier error is bounded by the differential fidelity harness;
-// the committed architectural µop stream is identical in both tiers.
-type Fidelity uint8
-
-// Fidelity tiers.
-const (
-	FidelityExact Fidelity = iota
-	FidelityFastRunahead
-	numFidelities
-)
-
-var fidelityNames = [numFidelities]string{"exact", "fast-runahead"}
-
-// String returns the tier's CLI/report name.
-func (f Fidelity) String() string {
-	if int(f) < len(fidelityNames) {
-		return fidelityNames[f]
-	}
-	return fmt.Sprintf("fidelity(%d)", uint8(f))
-}
-
-// ParseFidelity resolves a fidelity tier name as used in CLI flags.
-func ParseFidelity(s string) (Fidelity, error) {
-	for f := FidelityExact; f < numFidelities; f++ {
-		if fidelityNames[f] == s {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown fidelity %q (want exact, fast-runahead)", s)
-}
-
 // Config is the full core configuration (Table 1 defaults via Default).
 type Config struct {
 	// Mode selects the runahead mechanism.
@@ -160,18 +122,6 @@ type Config struct {
 	// pipeline snapshot taken at entry instead of flushing — the paper's
 	// "what if the window were not discarded" estimate.
 	FreeExit bool
-
-	// Fidelity selects the simulation fidelity tier (exact by default).
-	// FidelityFastRunahead emulates chain-cache-hit runahead episodes
-	// coarsely instead of executing them µop by µop; it changes simulated
-	// timing (bounded by the fidelity harness), never the committed
-	// architectural stream. Ignored for ModeOoO (no runahead episodes)
-	// and under FreeExit (the snapshot-restore ablation depends on the
-	// exact in-episode pipeline state).
-	Fidelity Fidelity
-	// ChainCacheSize is the fast-runahead tier's chain-cache capacity in
-	// entries (stalling-load PCs with learned prefetch-delta sets).
-	ChainCacheSize int
 }
 
 // Default returns the paper's Table 1 configuration for the given mode.
@@ -200,7 +150,6 @@ func Default(mode Mode) Config {
 		MinRunaheadCycles: 64,
 		PREMaxDivergence:  4,
 		ReplayLookahead:   4096,
-		ChainCacheSize:    64,
 	}
 }
 
@@ -238,12 +187,6 @@ func (c *Config) Validate() error {
 	}
 	if c.FreeExit && c.Mode != ModeRA {
 		return fmt.Errorf("core: FreeExit is an ablation of ModeRA only")
-	}
-	if c.Fidelity >= numFidelities {
-		return fmt.Errorf("core: invalid fidelity %d", c.Fidelity)
-	}
-	if c.Fidelity == FidelityFastRunahead && c.ChainCacheSize <= 0 {
-		return fmt.Errorf("core: fast-runahead fidelity needs a positive ChainCacheSize")
 	}
 	if err := c.Rename.Validate(); err != nil {
 		return err

@@ -74,25 +74,6 @@ type Core struct {
 	// E6 (FreeExit) snapshot.
 	snap *pipeSnapshot
 
-	// Fast-runahead fidelity tier (nil chainCache = exact tier; see
-	// Config.Fidelity). epEmulated marks the current episode as a coarse
-	// chain-cache emulation; epLearning marks an exact episode recording
-	// its prefetch set for insertion at exit; epVerify marks a learning
-	// episode that re-checks an existing entry, scoring its predicted set
-	// against the episode's real one.
-	chainCache  *runahead.ChainCache
-	epEmulated  bool
-	epLearning  bool
-	epVerify    bool
-	epStallAddr uint64
-	epChainLen  int
-	epMemDep    bool
-	epAddrs     []uint64          // learning: line-deduped prefetch addresses
-	epPredicted []uint64          // verify: the entry's predicted addresses
-	epActual    []uint64          // verify: in-window subset of epAddrs
-	epInject    []uint64          // emulation: materialized injection batch
-	injectFn    func(addr uint64) // pre-bound InjectPrefetchSet callback
-
 	// Refill-penalty measurement (E4): after a flush-exit, count the
 	// cycles until a full window's worth of µops has been re-dispatched —
 	// the paper's "8 cycles front-end + 48 cycles ROB refill" estimate.
@@ -156,12 +137,6 @@ type Core struct {
 	// µop's sequence number — an instrumentation hook for tests and
 	// tracing tools (pseudo-retirement does not trigger it).
 	OnCommit func(seq int64)
-
-	// OnPrefetch, when set, is invoked with each runahead prefetch
-	// address actually issued into the hierarchy — per-µop issues and
-	// emulated-episode injections alike. The fidelity harness uses it to
-	// compare exact-vs-fast prefetch sets.
-	OnPrefetch func(addr uint64)
 
 	// tel, when attached, receives timeline events (runahead episodes,
 	// stall spans, cycle skips). It is a concrete pointer, not an
@@ -231,22 +206,6 @@ func New(cfg Config, gen trace.Generator) (*Core, error) {
 	for i := range c.events.near {
 		c.events.near[i] = make([]completion, 0, 16)
 	}
-	if cfg.Fidelity == FidelityFastRunahead && cfg.Mode != ModeOoO && !cfg.FreeExit {
-		// The fast tier only changes behavior where runahead episodes
-		// exist; OoO has none, and the FreeExit ablation depends on exact
-		// in-episode pipeline state, so both run exact (and their results
-		// stay byte-identical to the exact tier by construction).
-		c.chainCache = runahead.NewChainCache(cfg.ChainCacheSize)
-		c.epAddrs = make([]uint64, 0, runahead.ChainCacheDeltaCap)
-		c.epPredicted = make([]uint64, 0, runahead.ChainCacheDeltaCap)
-		c.epActual = make([]uint64, 0, runahead.ChainCacheDeltaCap)
-		c.epInject = make([]uint64, 0, runahead.ChainCacheDeltaCap)
-		c.injectFn = func(addr uint64) {
-			if c.OnPrefetch != nil {
-				c.OnPrefetch(addr)
-			}
-		}
-	}
 	c.sqDrainFn = func(e *sqEntry) bool {
 		_, ok := c.hier.StoreCommit(e.addr, c.now)
 		if !ok {
@@ -283,10 +242,6 @@ func (c *Core) PRDQ() *runahead.PRDQ { return c.prdq }
 // EMQ returns the extended micro-op queue (for reports).
 func (c *Core) EMQ() *runahead.EMQ { return c.emq }
 
-// ChainCache returns the fast-runahead tier's chain cache, or nil in the
-// exact tier (the gather path keys fast-tier result fields off this).
-func (c *Core) ChainCache() *runahead.ChainCache { return c.chainCache }
-
 // Now returns the current cycle.
 func (c *Core) Now() int64 { return c.now }
 
@@ -310,11 +265,6 @@ func (c *Core) ResetStats() {
 	c.sst.ResetStats()
 	c.prdq.ResetStats()
 	c.emq.ResetStats()
-	if c.chainCache != nil {
-		// Counters and distributions restart; learned entries survive —
-		// warmup learning is the fast tier's point.
-		c.chainCache.ResetStats()
-	}
 }
 
 // Run advances the core until n more µops have committed, returning the
@@ -748,12 +698,6 @@ func (c *Core) issueLoad(m *slotMeta, r *uopRec) (ready int64, inv, ok bool) {
 		res, ok = c.hier.Prefetch(r.addr, c.now)
 		if ok {
 			c.stats.Prefetches++
-			if c.OnPrefetch != nil {
-				c.OnPrefetch(r.addr)
-			}
-			if c.epLearning {
-				c.recordEpisodeAddr(r.addr)
-			}
 		}
 	} else {
 		res, ok = c.hier.LoadPC(r.addr, r.pc, c.now)
@@ -791,13 +735,6 @@ func (c *Core) countIssue(class uarch.Class) {
 
 func (c *Core) dispatchStage() {
 	if c.inRunahead {
-		if c.epEmulated {
-			// Coarse emulation: the episode's entire effect (its predicted
-			// prefetch set) was injected at entry; no runahead µops are
-			// fetched, renamed or dispatched. The cycle skipper fast-forwards
-			// the quiesced machine to the episode exit.
-			return
-		}
 		switch c.cfg.Mode {
 		case ModeRA:
 			c.dispatchNormal(true)

@@ -52,9 +52,4 @@ func (c *Core) PublishMetrics(reg *telemetry.Registry) {
 	c.sst.PublishMetrics(reg)
 	c.prdq.PublishMetrics(reg)
 	c.emq.PublishMetrics(reg)
-	if c.chainCache != nil {
-		reg.Counter("core/runahead/emulated_episodes", s.EmulatedEpisodes)
-		reg.Counter("core/runahead/emulated_prefetches", s.EmulatedPrefetches)
-		c.chainCache.PublishMetrics(reg)
-	}
 }

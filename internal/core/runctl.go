@@ -43,15 +43,6 @@ func (c *Core) maybeEnterRunahead(hm *slotMeta, hr *uopRec) {
 			return
 		}
 	}
-	if c.chainCache != nil {
-		// Fast-runahead fidelity tier: a chain-cache hit emulates the whole
-		// episode in one step (see fastpath.go); a miss (or a periodic
-		// verification hit) falls through to an exact episode with
-		// prefetch-set learning armed.
-		if c.fastEnter(hr) {
-			return
-		}
-	}
 	c.enterRunahead(hm, hr)
 }
 
@@ -142,13 +133,6 @@ func (c *Core) enterRunahead(hm *slotMeta, hr *uopRec) {
 
 // exitRunahead returns to normal mode: the stalling load's data arrived.
 func (c *Core) exitRunahead() {
-	if c.epEmulated {
-		c.exitEmulated()
-		return
-	}
-	if c.epLearning {
-		c.finishLearning()
-	}
 	c.iqDirty = true
 	c.stats.Intervals.Observe(c.now - c.entryCycle)
 	if c.tel != nil {

@@ -41,10 +41,6 @@ type Stats struct {
 	DivergenceStops  int64 // PRE scans stopped by unresolved mispredicts
 	ReplayExhausted  int64 // RA-buffer replays that ran out of lookahead
 
-	// Fast-runahead fidelity tier accounting (zero in the exact tier).
-	EmulatedEpisodes   int64 // chain-cache-hit episodes emulated coarsely
-	EmulatedPrefetches int64 // prefetches issued by episode emulation
-
 	// Interval histogram (runahead interval lengths, cycles) — E5.
 	Intervals *stats.Histogram
 	// RefillPenalty accumulates, per RA/RAB exit, the cycles from exit

@@ -173,12 +173,6 @@ func (m Matrix) Expand() (*Plan, error) {
 		// Hooks must not switch mechanisms: the cell's mode is part of
 		// the matrix identity.
 		cfg.Mode = mode
-		// The fidelity tier is a matrix-level request, applied after the
-		// point hooks exactly like sim.Run applies Options.Fidelity — the
-		// interned configuration must match what the run executes.
-		if m.Options.Fidelity != core.FidelityExact {
-			cfg.Fidelity = m.Options.Fidelity
-		}
 		if err := cfg.Validate(); err != nil {
 			return 0, fmt.Errorf("exp: point %q, workload %q, mode %v: %w",
 				pt.Name, p.workloads[wi].Name, mode, err)
@@ -417,7 +411,6 @@ func (p *Plan) RunOpts(opts RunOptions) (*Set, error) {
 	meta := RunMeta{
 		Schema:           SchemaVersion,
 		Name:             p.m.Name,
-		Fidelity:         p.m.Options.Fidelity.String(),
 		WallClockSeconds: time.Since(start).Seconds(),
 		Workers:          opts.Workers,
 		EffectiveWorkers: pool.Effective(len(p.unique), opts.Workers),
@@ -601,17 +594,6 @@ func canonicalConfig(cfg core.Config) core.Config {
 	}
 	if !keep.freeExit {
 		c.FreeExit = false
-	}
-	// Fidelity folding: the core only builds the fast tier's chain cache
-	// for runahead modes without FreeExit (see core.New), so OoO and
-	// FreeExit cells produce byte-identical results in either tier and must
-	// dedup together. Everywhere else the tier changes results and stays in
-	// the key; the chain-cache size is only read by the fast tier.
-	if c.Mode == core.ModeOoO || c.FreeExit {
-		c.Fidelity = core.FidelityExact
-	}
-	if c.Fidelity != core.FidelityFastRunahead {
-		c.ChainCacheSize = 0
 	}
 	return c
 }

@@ -115,52 +115,6 @@ func TestModeRelevantKnobsStayDistinct(t *testing.T) {
 	}
 }
 
-// TestFidelityFoldsIntoDedupKey pins how the fidelity tier participates
-// in run identity. The two tiers produce different results wherever the
-// chain cache can engage, so they must never share a simulation there;
-// where the core never builds the chain cache (OoO, free-exit runahead)
-// the tiers are byte-identical by construction and MUST dedup together —
-// a fast-tier sweep reuses the exact tier's cached baselines.
-func TestFidelityFoldsIntoDedupKey(t *testing.T) {
-	withFid := func(mode core.Mode, fid core.Fidelity) core.Config {
-		cfg := core.Default(mode)
-		cfg.Fidelity = fid
-		return cfg
-	}
-	for _, mode := range []core.Mode{core.ModeRA, core.ModeRABuffer, core.ModePRE, core.ModePREEMQ} {
-		if runKey("w", testOpt(), withFid(mode, core.FidelityExact)) ==
-			runKey("w", testOpt(), withFid(mode, core.FidelityFastRunahead)) {
-			t.Errorf("%v: exact and fast-runahead tiers deduplicated — approximate results would be served as exact", mode)
-		}
-	}
-	if runKey("w", testOpt(), withFid(core.ModeOoO, core.FidelityExact)) !=
-		runKey("w", testOpt(), withFid(core.ModeOoO, core.FidelityFastRunahead)) {
-		t.Error("OoO baselines did not dedup across tiers (the baseline has no episodes to emulate)")
-	}
-	cfgA := withFid(core.ModeRA, core.FidelityExact)
-	cfgA.FreeExit = true
-	cfgB := withFid(core.ModeRA, core.FidelityFastRunahead)
-	cfgB.FreeExit = true
-	if runKey("w", testOpt(), cfgA) != runKey("w", testOpt(), cfgB) {
-		t.Error("free-exit RA cells did not dedup across tiers (the core never builds a chain cache with FreeExit)")
-	}
-
-	// The chain-cache size is only read by the fast tier: it must keep
-	// fast-tier runs distinct and be folded out of exact-tier keys.
-	cfgC := withFid(core.ModePRE, core.FidelityFastRunahead)
-	cfgD := withFid(core.ModePRE, core.FidelityFastRunahead)
-	cfgD.ChainCacheSize = 2 * cfgC.ChainCacheSize
-	if runKey("w", testOpt(), cfgC) == runKey("w", testOpt(), cfgD) {
-		t.Error("fast-tier runs with different ChainCacheSize deduplicated")
-	}
-	cfgE := withFid(core.ModePRE, core.FidelityExact)
-	cfgF := withFid(core.ModePRE, core.FidelityExact)
-	cfgF.ChainCacheSize = 2 * cfgE.ChainCacheSize
-	if runKey("w", testOpt(), cfgE) != runKey("w", testOpt(), cfgF) {
-		t.Error("exact-tier runs did not dedup across ChainCacheSize (the exact tier never reads it)")
-	}
-}
-
 // TestDeterministicJSON runs the same matrix at 1, 4 and GOMAXPROCS
 // workers and requires byte-identical results JSON: the orchestrator's
 // core contract.

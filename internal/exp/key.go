@@ -113,8 +113,13 @@ func (k CellKey) seedKey() string {
 	if k.seedStr != "" {
 		return k.seedStr
 	}
-	return fmt.Sprintf("w=%s|warm=%d|meas=%d|energy=%s|cfg=%+v",
+	var buf [2048]byte // keys render to ~1.2 KB; the buffer stays on the stack
+	b := fmt.Appendf(buf[:0], "w=%s|warm=%d|meas=%d|energy=%s|cfg=%+v",
 		k.Workload, k.WarmupUops, k.MeasureUops, k.Energy, k.Config)
+	// core.Config's last two fields were removed with the fast-runahead
+	// tier; their exact-tier rendering stays here so every seed is unchanged.
+	b = append(b[:len(b)-1], " Fidelity:exact ChainCacheSize:0}"...)
+	return string(b)
 }
 
 // String renders the full versioned cache identity. Two runs with equal

@@ -1,7 +1,6 @@
 // Package pool provides the worker pool that fans independent simulation
-// jobs out across the host's cores. It is shared by sim.RunMatrix and the
-// experiment orchestrator in internal/exp so every parallel frontend
-// saturates the machine the same way.
+// jobs out across the host's cores. It backs the experiment orchestrator
+// in internal/exp, the one way the repository runs a matrix.
 //
 // Jobs are identified by index; the pool guarantees each index runs
 // exactly once. Callers own the output: a job writes only to its own

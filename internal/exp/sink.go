@@ -34,10 +34,10 @@ import (
 // engine queue overflow); the issue counters now also sum the L1I
 // fetch-stream engine when one is configured.
 //
-// v5: fidelity tiers — fast-runahead runs carry tier accounting on
-// sim.Result (Fidelity, EmulatedEpisodes/Prefetches, chain-cache
-// counters; all ",omitempty", so exact-tier documents are byte-identical
-// to v4) and the meta document records the requested tier.
+// v5: fidelity tiers — runs of the approximate fast-runahead tier carried
+// tier accounting on sim.Result (all ",omitempty", so exact-tier documents
+// are byte-identical to v4) and the meta document recorded the tier.
+// Removing the tier left v5 documents unchanged; the meta lost "fidelity".
 const SchemaVersion = 5
 
 // RunMeta records how a Set was produced: wall-clock, requested and
@@ -51,10 +51,6 @@ type RunMeta struct {
 	Schema int `json:"schema"`
 	// Name is the experiment label from Matrix.Name.
 	Name string `json:"name,omitempty"`
-	// Fidelity is the requested simulation fidelity tier ("exact" or
-	// "fast-runahead"). It lives here rather than in the results document
-	// so exact-tier results stay byte-identical across schema versions.
-	Fidelity string `json:"fidelity"`
 	// WallClockSeconds is the duration of Plan.Run.
 	WallClockSeconds float64 `json:"wall_clock_seconds"`
 	// Workers is the requested pool width (0 = one per CPU).

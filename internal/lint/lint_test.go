@@ -69,8 +69,8 @@ func TestAnnotationRegistryParsesFromRepoSources(t *testing.T) {
 	}
 	t.Logf("annotation counts: %v", counts)
 	min := map[string]int{
-		annot.KindHotPath:   20, // core pipeline stages, runahead structures, mem, prefetchers
-		annot.KindPure:      9,  // skipper probes on cache/chain-cache/mem
+		annot.KindHotPath:   19, // core pipeline stages, runahead structures, mem, prefetchers
+		annot.KindPure:      6,  // skipper probes on cache/mem
 		annot.KindWallclock: 10, // meta.json timings, progress display, test deadlines
 	}
 	for kind, want := range min {
@@ -87,8 +87,6 @@ func TestAnnotationRegistryParsesFromRepoSources(t *testing.T) {
 	}{
 		{"internal/core/core.go", "Step", annot.KindHotPath},
 		{"internal/core/skip.go", "skipAhead", annot.KindHotPath},
-		{"internal/runahead/chaincache.go", "Lookup", annot.KindHotPath},
-		{"internal/runahead/chaincache.go", "Peek", annot.KindPure},
 		{"internal/cache/cache.go", "Contains", annot.KindPure},
 		{"internal/cache/cache.go", "RunaheadInFlight", annot.KindPure},
 		{"internal/mem/mem.go", "access", annot.KindHotPath},

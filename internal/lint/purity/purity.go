@@ -1,9 +1,9 @@
 // Package purity enforces //sim:pure annotations: an annotated function
 // is a side-effect-free probe (filter probes, cache occupancy sources,
-// ChainCache.Peek) that the scheduler may call any number of times —
-// including zero — without perturbing simulated state. The analyzer
-// flags writes to state reachable from the receiver or from package
-// scope:
+// the runahead-fill horizon check) that the scheduler may call any
+// number of times — including zero — without perturbing simulated
+// state. The analyzer flags writes to state reachable from the receiver
+// or from package scope:
 //
 //   - assignments, ++/--, delete/clear and copy-into through the
 //     receiver, a package-level variable, or any local that aliases one

@@ -583,33 +583,6 @@ func (h *Hierarchy) Prefetch(addr uint64, now int64) (Result, bool) {
 	return h.access(h.l1d, addr, now, false, cache.SrcRunahead)
 }
 
-// InjectPrefetchSet issues a batch of runahead prefetches spaced pace
-// cycles apart starting at now — the fast-runahead fidelity tier's
-// episode emulation path. Each address walks the same SrcRunahead access
-// path as Prefetch; addresses that find the MSHRs exhausted are dropped,
-// matching runahead's drop-don't-retry semantics. onIssued (may be nil)
-// is called for each address actually issued. Returns the number issued.
-func (h *Hierarchy) InjectPrefetchSet(addrs []uint64, now, pace int64, onIssued func(addr uint64)) int {
-	issued := 0
-	t := now
-	for _, addr := range addrs {
-		if _, ok := h.access(h.l1d, addr, t, false, cache.SrcRunahead); ok {
-			issued++
-			if onIssued != nil {
-				onIssued(addr)
-			}
-		}
-		// Successive injections step forward in time, modelling the paced
-		// issue stream of a real episode: MSHRs freed by near-level fills
-		// mid-episode become available to later prefetches, exactly as
-		// they would µop by µop. Every timing structure downstream
-		// (MSHR retirement, DRAM bank/bus reservation) is indexed by the
-		// access time, so forward-dated accesses compose safely.
-		t += pace
-	}
-	return issued
-}
-
 // Fetch issues an instruction fetch for the line containing addr. The
 // access trains the L1I hardware prefetcher on the fetch stream and
 // drains its request queue into the hierarchy.

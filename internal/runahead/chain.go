@@ -164,22 +164,3 @@ func (x *ChainExtractor) Extract(window []uarch.Uop, stallPC uint64, maxLen int)
 	}
 	return x.chain, visited
 }
-
-// ChainHasLeadingDependence reports whether any non-terminal load in the
-// chain feeds a later chain µop through a register — i.e. the chain
-// serializes on memory (pointer chasing) rather than being recomputable
-// from register state (streaming). Reports and tests use this to classify
-// extracted chains.
-func ChainHasLeadingDependence(chain []uarch.Uop) bool {
-	for i, u := range chain {
-		if !u.IsLoad() || i == len(chain)-1 {
-			continue
-		}
-		for j := i + 1; j < len(chain); j++ {
-			if chain[j].Src1 == u.Dst || chain[j].Src2 == u.Dst {
-				return true
-			}
-		}
-	}
-	return false
-}

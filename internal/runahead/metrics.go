@@ -23,22 +23,6 @@ func (q *PRDQ) PublishMetrics(reg *telemetry.Registry) {
 	reg.Counter("runahead/prdq/stalls", s.Stalls)
 }
 
-// PublishMetrics snapshots the chain cache's counters, reuse-depth
-// histogram and verification overlap into reg.
-func (c *ChainCache) PublishMetrics(reg *telemetry.Registry) {
-	s := c.Stats()
-	reg.Counter("runahead/chaincache/lookups", s.Lookups)
-	reg.Counter("runahead/chaincache/hits", s.Hits)
-	reg.Counter("runahead/chaincache/misses", s.Misses)
-	reg.Counter("runahead/chaincache/inserts", s.Inserts)
-	reg.Counter("runahead/chaincache/refreshes", s.Refreshes)
-	reg.Counter("runahead/chaincache/evicts", s.Evicts)
-	reg.Counter("runahead/chaincache/entries", int64(c.Len()))
-	reg.Histogram("runahead/chaincache/reuse_depth", c.ReuseDepth())
-	reg.Gauge("runahead/chaincache/overlap_mean", c.OverlapMean())
-	reg.Counter("runahead/chaincache/overlap_samples", c.OverlapCount())
-}
-
 // PublishMetrics snapshots the EMQ's counters into reg.
 func (q *EMQ) PublishMetrics(reg *telemetry.Registry) {
 	s := q.Stats()

@@ -293,9 +293,6 @@ func TestExtractChainStreaming(t *testing.T) {
 	if chain[0].PC != 4 || chain[1].PC != 8 {
 		t.Errorf("chain PCs = %#x,%#x, want 4,8", chain[0].PC, chain[1].PC)
 	}
-	if ChainHasLeadingDependence(chain) {
-		t.Error("streaming chain must not serialize on memory")
-	}
 }
 
 func TestExtractChainPointerChase(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -631,6 +632,17 @@ func (j *job) status() JobStatus {
 // maxSpecBytes caps a submitted JobSpec body; larger bodies get 413.
 const maxSpecBytes = 1 << 20
 
+// decodeSpec reads a submitted JobSpec. Unknown fields are errors, so a
+// stale spec that names a removed option gets a 400 instead of running
+// without it.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -639,9 +651,8 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
-		if err := json.NewDecoder(body).Decode(&spec); err != nil {
+		spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		if err != nil {
 			code := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {

@@ -276,16 +276,24 @@ func TestServerHealthAndMetrics(t *testing.T) {
 func TestServerRejectsBadSpecs(t *testing.T) {
 	env := newEnv(t, Config{})
 	bad := []struct {
-		name string
-		body string
+		name, body string
+		want       string // substring of the error message, "" for any
 	}{
-		{"not json", "{nope"},
-		{"no modes", `{"workloads":["mcf"],"measure_uops":1000}`},
-		{"unknown mode", `{"modes":["warp-drive"],"workloads":["mcf"],"measure_uops":1000}`},
-		{"no workloads", `{"modes":["OoO"],"measure_uops":1000}`},
-		{"no window", `{"modes":["OoO"],"workloads":["mcf"]}`},
-		{"unknown knob", `{"modes":["OoO"],"workloads":["mcf"],"measure_uops":1000,"points":[{"name":"p","knobs":{"warp_factor":9}}]}`},
-		{"unknown space", `{"modes":["OoO"],"measure_uops":1000,"population":{"space_name":"nope","count":2}}`},
+		{"not json", "{nope", ""},
+		{"no modes", `{"workloads":["mcf"],"measure_uops":1000}`, ""},
+		{"unknown mode", `{"modes":["warp-drive"],"workloads":["mcf"],"measure_uops":1000}`, ""},
+		{"no workloads", `{"modes":["OoO"],"measure_uops":1000}`, ""},
+		{"no window", `{"modes":["OoO"],"workloads":["mcf"]}`, ""},
+		{"unknown knob", `{"modes":["OoO"],"workloads":["mcf"],"measure_uops":1000,"points":[{"name":"p","knobs":{"warp_factor":9}}]}`, ""},
+		{"unknown space", `{"modes":["OoO"],"measure_uops":1000,"population":{"space_name":"nope","count":2}}`, ""},
+		// Unbounded knobs and population counts would size a slice past
+		// memory; Go's out-of-memory is fatal, not a recoverable panic.
+		{"huge knob", `{"modes":["PRE"],"workloads":["mcf"],"measure_uops":1000,"points":[{"name":"p","knobs":{"sst_size":8589934592}}]}`, "sst_size"},
+		{"huge mshrs", `{"modes":["OoO"],"workloads":["mcf"],"measure_uops":1000,"points":[{"name":"p","knobs":{"l1d_mshrs":8589934592}}]}`, "l1d_mshrs"},
+		{"huge population", `{"modes":["OoO"],"measure_uops":1000,"population":{"space_name":"default","count":68719476736}}`, "count"},
+		// Specs naming removed options must not run without them.
+		{"stale field", `{"modes":["PRE"],"workloads":["mcf"],"measure_uops":1000,"fidelity":"fast-runahead"}`, "fidelity"},
+		{"stale knob", `{"modes":["PRE"],"workloads":["mcf"],"measure_uops":1000,"points":[{"name":"p","knobs":{"chain_cache_size":64}}]}`, "chain_cache_size"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,7 +311,18 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 				t.Errorf("400 body lacks an error message (%v)", err)
 			}
+			if !strings.Contains(e.Error, tc.want) {
+				t.Errorf("error %q does not name %q", e.Error, tc.want)
+			}
 		})
+	}
+	resp, err := http.Get(env.ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after bad specs: status %d", resp.StatusCode)
 	}
 }
 

@@ -1,4 +1,4 @@
-// The wire job spec: a fully declarative, JSON-serializable description
+// The wire job spec: a fully declarative, JSON-encodable description
 // of one experiment matrix. exp.Matrix itself carries function hooks
 // (Point.Apply, Options.Configure) and so cannot cross a socket; JobSpec
 // is the closed-world equivalent — named suite workloads, named modes,
@@ -41,9 +41,6 @@ type JobSpec struct {
 	// is required (> 0); WarmupUops defaults to 0.
 	WarmupUops  int64 `json:"warmup_uops,omitempty"`
 	MeasureUops int64 `json:"measure_uops"`
-	// Fidelity selects the simulation tier ("exact" by default,
-	// "fast-runahead" for the approximate sweep tier).
-	Fidelity string `json:"fidelity,omitempty"`
 	// Baseline names the speedup denominator mode (default "OoO").
 	Baseline string `json:"baseline,omitempty"`
 	// AddBaseline forces a baseline run per (point, workload) even when
@@ -81,6 +78,16 @@ type PopulationSpec struct {
 	BaseSeed string `json:"base_seed,omitempty"`
 }
 
+// maxKnobValue and maxPopulationCount bound what a spec may ask for. Knob
+// values size simulator structures and the population count sizes
+// Expand's scenario tables, so an unbounded value is an unbounded
+// allocation, and Go cannot recover from running out of memory. Every
+// published sweep stays far below both (the largest is 4096).
+const (
+	maxKnobValue       = 1 << 16
+	maxPopulationCount = 1 << 16
+)
+
 // knobSetters is the closed set of remotely settable configuration
 // knobs. Only knobs that are part of a published sweep axis belong here;
 // everything else stays server-side so a job spec can never construct an
@@ -92,7 +99,6 @@ var knobSetters = map[string]func(*core.Config, int64){
 	"runahead_width":      func(c *core.Config, v int64) { c.RunaheadWidth = int(v) },
 	"min_runahead_cycles": func(c *core.Config, v int64) { c.MinRunaheadCycles = v },
 	"chain_max_len":       func(c *core.Config, v int64) { c.ChainMaxLen = int(v) },
-	"chain_cache_size":    func(c *core.Config, v int64) { c.ChainCacheSize = int(v) },
 	"replay_lookahead":    func(c *core.Config, v int64) { c.ReplayLookahead = v },
 	"pre_max_divergence":  func(c *core.Config, v int64) { c.PREMaxDivergence = int(v) },
 	"l1d_mshrs":           func(c *core.Config, v int64) { c.Mem.L1D.MSHRs = int(v) },
@@ -155,13 +161,6 @@ func (s JobSpec) Matrix() (exp.Matrix, error) {
 		return m, fmt.Errorf("spec: warmup_uops must be non-negative (got %d)", s.WarmupUops)
 	}
 	m.Options = sim.Options{WarmupUops: s.WarmupUops, MeasureUops: s.MeasureUops}
-	if s.Fidelity != "" {
-		fid, err := core.ParseFidelity(s.Fidelity)
-		if err != nil {
-			return m, fmt.Errorf("spec: fidelity: %w", err)
-		}
-		m.Options.Fidelity = fid
-	}
 	if s.Baseline != "" {
 		base, err := core.ParseMode(s.Baseline)
 		if err != nil {
@@ -199,6 +198,10 @@ func (pt PointSpec) point() (exp.Point, error) {
 			return exp.Point{}, fmt.Errorf("spec: point %q: unknown knob %q (known: %v)",
 				pt.Name, name, KnobNames())
 		}
+		if v := pt.Knobs[name]; v < 0 || v > maxKnobValue {
+			return exp.Point{}, fmt.Errorf("spec: point %q: knob %q must be in [0, %d] (got %d)",
+				pt.Name, name, maxKnobValue, v)
+		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -234,8 +237,8 @@ func (ps PopulationSpec) population() (*exp.Population, error) {
 	default:
 		return nil, fmt.Errorf("spec: population: unknown space_name %q (known: default, frontend)", ps.SpaceName)
 	}
-	if ps.Count <= 0 {
-		return nil, fmt.Errorf("spec: population: count must be positive (got %d)", ps.Count)
+	if ps.Count <= 0 || ps.Count > maxPopulationCount {
+		return nil, fmt.Errorf("spec: population: count must be in [1, %d] (got %d)", maxPopulationCount, ps.Count)
 	}
 	if ps.BaseSeed != "" {
 		seed, err := strconv.ParseUint(ps.BaseSeed, 16, 64)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/exp/pool"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -41,11 +40,6 @@ type Options struct {
 	// only ever reads machine state, so the Result — and every byte of
 	// the results sink — is identical with tracing on or off.
 	Trace *telemetry.Recorder
-	// Fidelity selects the simulation fidelity tier (core.FidelityExact
-	// by default). A non-exact tier is applied to the configuration after
-	// Configure runs, so the tier-level request wins over per-point
-	// config tweaks; FidelityExact leaves the configuration untouched.
-	Fidelity core.Fidelity
 }
 
 // DefaultOptions returns the standard harness window.
@@ -111,16 +105,6 @@ type Result struct {
 
 	BranchMispredicts int64
 
-	// Fast-runahead fidelity tier (all omitted from the serialized
-	// result in the exact tier, which therefore stays byte-identical).
-	Fidelity           string  `json:",omitempty"`
-	EmulatedEpisodes   int64   `json:",omitempty"`
-	EmulatedPrefetches int64   `json:",omitempty"`
-	ChainCacheHits     int64   `json:",omitempty"`
-	ChainCacheMisses   int64   `json:",omitempty"`
-	ChainCacheEvicts   int64   `json:",omitempty"`
-	ChainOverlapMean   float64 `json:",omitempty"`
-
 	Energy energy.Breakdown
 }
 
@@ -137,9 +121,6 @@ func Run(w workload.Workload, mode core.Mode, opt Options) (Result, error) {
 	cfg := core.Default(mode)
 	if opt.Configure != nil {
 		opt.Configure(&cfg)
-	}
-	if opt.Fidelity != core.FidelityExact {
-		cfg.Fidelity = opt.Fidelity
 	}
 	c, err := core.New(cfg, w.New())
 	if err != nil {
@@ -208,7 +189,7 @@ func gather(name string, mode core.Mode, c *core.Core, opt Options) Result {
 
 	pf := c.Hierarchy().PFStats()
 
-	r := Result{
+	return Result{
 		Workload:            name,
 		Mode:                mode,
 		Cycles:              cs.Cycles,
@@ -252,41 +233,4 @@ func gather(name string, mode core.Mode, c *core.Core, opt Options) Result {
 		BranchMispredicts:   cs.BranchMispredicts,
 		Energy:              energy.Compute(params, act),
 	}
-	if cc := c.ChainCache(); cc != nil {
-		// Fast tier only: in the exact tier these stay zero values and the
-		// serialized result is byte-identical to pre-fidelity output.
-		ccs := cc.Stats()
-		r.Fidelity = core.FidelityFastRunahead.String()
-		r.EmulatedEpisodes = cs.EmulatedEpisodes
-		r.EmulatedPrefetches = cs.EmulatedPrefetches
-		r.ChainCacheHits = ccs.Hits
-		r.ChainCacheMisses = ccs.Misses
-		r.ChainCacheEvicts = ccs.Evicts
-		r.ChainOverlapMean = cc.OverlapMean()
-	}
-	return r
-}
-
-// RunMatrix simulates every (workload, mode) pair, in parallel across the
-// machine's cores, returning results indexed [workload][mode] in the
-// given orders. It delegates to the same worker pool as the experiment
-// orchestrator (internal/exp): each job writes only its own slot, and the
-// returned error is the first in (workload, mode) order regardless of
-// completion order, so the call is deterministic at any parallelism.
-func RunMatrix(ws []workload.Workload, modes []core.Mode, opt Options) ([][]Result, error) {
-	results := make([][]Result, len(ws))
-	for i := range results {
-		results[i] = make([]Result, len(modes))
-	}
-	errs := make([]error, len(ws)*len(modes))
-	pool.Run(len(errs), 0, func(i int) {
-		wi, mi := i/len(modes), i%len(modes)
-		results[wi][mi], errs[i] = Run(ws[wi], modes[mi], opt)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
 }

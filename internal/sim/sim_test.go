@@ -86,38 +86,6 @@ func TestDeterministicResults(t *testing.T) {
 	}
 }
 
-func TestRunMatrixShapeAndParallelism(t *testing.T) {
-	ws := []workload.Workload{}
-	for _, n := range []string{"libquantum", "milc"} {
-		w, _ := workload.ByName(n)
-		ws = append(ws, w)
-	}
-	modes := []core.Mode{core.ModeOoO, core.ModePRE}
-	res, err := RunMatrix(ws, modes, quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || len(res[0]) != 2 {
-		t.Fatalf("matrix shape wrong")
-	}
-	for wi := range res {
-		for mi := range res[wi] {
-			if res[wi][mi].Committed < 30_000 {
-				t.Errorf("cell [%d][%d] incomplete: %+v", wi, mi, res[wi][mi].Committed)
-			}
-			if res[wi][mi].Workload != ws[wi].Name || res[wi][mi].Mode != modes[mi] {
-				t.Errorf("cell [%d][%d] misplaced", wi, mi)
-			}
-		}
-	}
-	// Matrix runs must agree with individual runs (parallelism must not
-	// perturb determinism).
-	single, _ := Run(ws[0], core.ModePRE, quickOpt())
-	if single.Cycles != res[0][1].Cycles {
-		t.Error("parallel matrix result differs from single run")
-	}
-}
-
 func TestRunaheadModesCollectRunaheadStats(t *testing.T) {
 	w, _ := workload.ByName("libquantum")
 	r, err := Run(w, core.ModePRE, quickOpt())

@@ -82,7 +82,6 @@ type Recorder struct {
 	stStart, stLast int64
 
 	episodes  int
-	emulated  int
 	skips     int
 	trains    int
 	throttles int
@@ -188,20 +187,6 @@ func (r *Recorder) closeEpisode(cycle, uops, prefetches, inv int64, truncated bo
 	r.pfSet.Observe(prefetches)
 }
 
-// EmulatedEpisode marks a runahead episode the fast-runahead fidelity
-// tier emulated from the chain cache instead of executing µop by µop: an
-// instant on the episodes lane at the entry cycle, so Perfetto shows
-// which episode spans were coarse. The matching span is still opened and
-// closed by RunaheadEnter/RunaheadExit.
-func (r *Recorder) EmulatedEpisode(cycle int64, pc uint64, predicted int) {
-	r.events = append(r.events, Event{
-		Name: "emulated episode", Cat: catRunahead, Ph: "i",
-		Ts: cycle, Pid: r.pid, Tid: tidEpisodes, S: "t",
-		Args: map[string]any{"pc": hex(pc), "predicted": predicted},
-	})
-	r.emulated++
-}
-
 // FullWindowStall accounts one full-window stall cycle. Contiguous stall
 // cycles coalesce into one span; a gap closes the open span and starts a
 // new one.
@@ -291,7 +276,6 @@ func (r *Recorder) Finish(now int64) {
 		r.finished = true
 		reg := r.Metrics()
 		reg.Counter("trace/episodes", int64(r.episodes))
-		reg.Counter("trace/emulated_episodes", int64(r.emulated))
 		reg.Counter("trace/skips", int64(r.skips))
 		reg.Counter("trace/pf_trains", int64(r.trains))
 		reg.Counter("trace/throttle_decisions", int64(r.throttles))

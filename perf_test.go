@@ -83,10 +83,7 @@ func TestCycleSkipDifferential(t *testing.T) {
 // high-water marks), a measurement window must not allocate. RA-buffer's
 // trace ring is pre-sized from ReplayLookahead at construction
 // (trace.NewStreamSized), so even its deep replay scans stay within the
-// ring and every mode holds the zero bound. The fast-runahead tier holds
-// it too: the chain cache is a preallocated arena and the learning path
-// reuses per-core scratch buffers, so emulated episodes, verification
-// episodes and relearns all run allocation-free.
+// ring and every mode holds the zero bound.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
@@ -94,38 +91,23 @@ func TestSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		wl      string
 		mode    presim.Mode
-		fid     presim.Fidelity
 		allowed float64
 	}{
-		{"milc", presim.ModeOoO, presim.FidelityExact, 0},
-		{"milc", presim.ModeRA, presim.FidelityExact, 0},
-		{"milc", presim.ModeRABuffer, presim.FidelityExact, 0},
-		{"milc", presim.ModePRE, presim.FidelityExact, 0},
-		{"milc", presim.ModePREEMQ, presim.FidelityExact, 0},
-		{"libquantum", presim.ModePRE, presim.FidelityExact, 0},
-		{"omnetpp", presim.ModePREEMQ, presim.FidelityExact, 0},
-		// Fast tier: milc exercises the demotion/relearn machinery (its
-		// RA-buffer chains replay data-dependent addresses, so entries
-		// keep demoting); libquantum/lbm exercise the emulation path
-		// proper (entries stay promoted and episodes fast-forward).
-		{"milc", presim.ModeRA, presim.FidelityFastRunahead, 0},
-		{"milc", presim.ModeRABuffer, presim.FidelityFastRunahead, 0},
-		{"libquantum", presim.ModePRE, presim.FidelityFastRunahead, 0},
-		{"lbm", presim.ModePREEMQ, presim.FidelityFastRunahead, 0},
+		{"milc", presim.ModeOoO, 0},
+		{"milc", presim.ModeRA, 0},
+		{"milc", presim.ModeRABuffer, 0},
+		{"milc", presim.ModePRE, 0},
+		{"milc", presim.ModePREEMQ, 0},
+		{"libquantum", presim.ModePRE, 0},
+		{"omnetpp", presim.ModePREEMQ, 0},
 	} {
 		tc := tc
-		name := tc.wl + "/" + tc.mode.String()
-		if tc.fid != presim.FidelityExact {
-			name += "/" + tc.fid.String()
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.wl+"/"+tc.mode.String(), func(t *testing.T) {
 			w, err := workload.ByName(tc.wl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.Default(tc.mode)
-			cfg.Fidelity = tc.fid
-			c, err := core.New(cfg, w.New())
+			c, err := core.New(core.Default(tc.mode), w.New())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,23 +76,6 @@ type Options = sim.Options
 // DefaultOptions returns the standard harness window.
 func DefaultOptions() Options { return sim.DefaultOptions() }
 
-// Fidelity selects the simulation fidelity tier (Options.Fidelity).
-type Fidelity = core.Fidelity
-
-const (
-	// FidelityExact is the default tier: every runahead episode executes
-	// µop by µop. All paper-figure and golden results use this tier.
-	FidelityExact = core.FidelityExact
-	// FidelityFastRunahead emulates chain-cache-hit runahead episodes
-	// coarsely (predicted prefetch set injected in one step, episode
-	// fast-forwarded) for large design-space sweeps. Accuracy bounds are
-	// pinned by the fidelity differential harness.
-	FidelityFastRunahead = core.FidelityFastRunahead
-)
-
-// ParseFidelity resolves a tier name ("exact", "fast-runahead").
-func ParseFidelity(s string) (Fidelity, error) { return core.ParseFidelity(s) }
-
 // Result is the flattened outcome of one simulation run.
 type Result = sim.Result
 
@@ -151,9 +134,18 @@ func Run(w Workload, mode Mode, opt Options) (Result, error) {
 }
 
 // RunMatrix simulates every (workload, mode) pair in parallel, returning
-// results indexed [workload][mode].
+// results indexed [workload][mode]. It is a one-point Experiment: the
+// same dedup, worker pool and per-cell panic recovery.
 func RunMatrix(ws []Workload, modes []Mode, opt Options) ([][]Result, error) {
-	return sim.RunMatrix(ws, modes, opt)
+	plan, err := Experiment{Workloads: ws, Modes: modes, Options: opt}.Expand()
+	if err != nil {
+		return nil, err
+	}
+	set, err := plan.Run(0)
+	if err != nil {
+		return nil, err
+	}
+	return set.Grid(0), nil
 }
 
 // Observability (internal/telemetry): point Options.Trace at a

@@ -1,6 +1,7 @@
 package presim_test
 
 import (
+	"reflect"
 	"testing"
 
 	presim "repro"
@@ -80,5 +81,42 @@ func TestFacadeTables(t *testing.T) {
 	}
 	if len(presim.AverageEnergySavings(res, modes)) != len(modes) {
 		t.Error("savings length mismatch")
+	}
+}
+
+// RunMatrix runs through the experiment orchestrator. Every cell must sit
+// at its [workload][mode] slot and equal a standalone Run of the same
+// pair: neither the worker pool nor dedup may perturb a result.
+func TestRunMatrixShapeAndParallelism(t *testing.T) {
+	ws := []presim.Workload{}
+	for _, n := range []string{"libquantum", "milc"} {
+		w, _ := presim.WorkloadByName(n)
+		ws = append(ws, w)
+	}
+	modes := []presim.Mode{presim.ModeOoO, presim.ModePRE}
+	res, err := presim.RunMatrix(ws, modes, quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(ws) {
+		t.Fatalf("matrix has %d rows, want %d", len(res), len(ws))
+	}
+	for wi, w := range ws {
+		if len(res[wi]) != len(modes) {
+			t.Fatalf("row %d has %d cells, want %d", wi, len(res[wi]), len(modes))
+		}
+		for mi, m := range modes {
+			got := res[wi][mi]
+			if got.Workload != w.Name || got.Mode != m {
+				t.Errorf("cell [%d][%d] holds %s/%v, want %s/%v", wi, mi, got.Workload, got.Mode, w.Name, m)
+			}
+			want, err := presim.Run(w, m, quick())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cell %s/%v differs from a standalone run:\n got %+v\nwant %+v", w.Name, m, got, want)
+			}
+		}
 	}
 }

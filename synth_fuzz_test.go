@@ -202,60 +202,6 @@ func TestScenarioFuzzCycleSkipDifferential(t *testing.T) {
 	}
 }
 
-// fuzzFidelityIPCDeltaBound is the sampled-scenario counterpart of
-// fidelityIPCDeltaBound, slightly looser because unseen workload shapes
-// drift two-sided: the measured extremes on the date-pinned population
-// are -10.2% (PRE) and +23.7% (RA on a deeply memory-bound seed, where
-// the entry-paced injected set is more timely than an exact episode
-// whose slice poisons to INV mid-way — the emulation out-prefetching
-// the mechanism it summarizes). The fixed archetype representatives
-// stay under the tighter fidelity_test.go bound.
-const fuzzFidelityIPCDeltaBound = 0.30
-
-// TestScenarioFuzzFidelityDifferential extends the fast-runahead
-// fidelity gate (fidelity_test.go) to sampled scenarios: on the
-// date-pinned population, every runahead mechanism run under the fast
-// tier must commit the same architectural µop count as the exact tier
-// (up to commit bunching) and stay inside the pinned IPC error bound.
-// This is the CI backstop against the approximate tier drifting on
-// workload shapes the fixed suite never schedules.
-func TestScenarioFuzzFidelityDifferential(t *testing.T) {
-	opt := diffOpt()
-	width := int64(presim.DefaultConfig(presim.ModeOoO).Width)
-	for _, w := range fuzzScenarios(t) {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, mode := range fidelityModes() {
-				exact, err := presim.Run(w, mode, opt)
-				if err != nil {
-					t.Fatalf("%v: %v", mode, err)
-				}
-				fo := opt
-				fo.Fidelity = presim.FidelityFastRunahead
-				fast, err := presim.Run(w, mode, fo)
-				if err != nil {
-					t.Fatalf("%v/fast: %v", mode, err)
-				}
-				if fast.Committed < opt.MeasureUops || fast.Committed >= opt.MeasureUops+width {
-					t.Errorf("%v: fast tier committed %d µops, want [%d, %d)",
-						mode, fast.Committed, opt.MeasureUops, opt.MeasureUops+width)
-				}
-				if d := fast.Committed - exact.Committed; d >= width || d <= -width {
-					t.Errorf("%v: fast tier committed %d µops vs exact %d — emulation changed architectural state",
-						mode, fast.Committed, exact.Committed)
-				}
-				delta := (fast.IPC - exact.IPC) / exact.IPC
-				if delta > fuzzFidelityIPCDeltaBound || delta < -fuzzFidelityIPCDeltaBound {
-					t.Errorf("%v: fast-tier IPC %.4f vs exact %.4f (%+.1f%%), bound ±%.0f%%",
-						mode, fast.IPC, exact.IPC, 100*delta, 100*fuzzFidelityIPCDeltaBound)
-				}
-				t.Logf("%-9v IPC %+.2f%%  emulated %d episodes", mode, 100*delta, fast.EmulatedEpisodes)
-			}
-		})
-	}
-}
-
 // frontEndScenarios samples the date-pinned front-end-bound population —
 // codewalk-heavy instruction footprints, the first scenarios where the
 // PF axis touches the L1I.
