@@ -71,8 +71,9 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 }
 
 // newHTTPServer serves h on addr. A client must send its request headers
-// within ReadHeaderTimeout; there is no write timeout, because an event
-// stream lasts as long as its job.
+// within ReadHeaderTimeout; the job API bounds a job spec's body itself,
+// per request. There is no read or write timeout for the whole request,
+// because an event stream lasts as long as its job.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,

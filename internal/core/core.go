@@ -56,7 +56,6 @@ type Core struct {
 	preDiverged  int
 	preScanStop  bool
 	emqDraining  bool
-	emqScan      int // scan cursor into a still-draining EMQ at re-entry
 
 	// RA-buffer replay state.
 	chain         []uarch.Uop
@@ -109,7 +108,7 @@ type Core struct {
 	// physical register p; completion decrements each waiter's srcWait
 	// instead of the issue stage re-polling every source every cycle.
 	// Stale entries (squashed µops) are filtered by slot generation.
-	waiters [][]wakeRef
+	waiters [][]uopRef
 
 	// Pre-bound closures for the per-cycle hot path (building these
 	// inline would allocate a funcval every cycle).
@@ -117,7 +116,9 @@ type Core struct {
 	renFree   func(rename.PReg)
 
 	// dispatchRun is the reusable per-cycle buffer the decode-pipe head
-	// run is copied into (one fetch-queue scan per cycle).
+	// run is copied into (one fetch-queue scan per cycle). It holds a
+	// cycle of either dispatch width: Width, or RunaheadWidth for PRE's
+	// runahead decode.
 	dispatchRun []frontend.Slot
 
 	// Reusable per-episode buffers (zero-allocation steady state).
@@ -189,7 +190,7 @@ func New(cfg Config, gen trace.Generator) (*Core, error) {
 		chainWindow:  make([]uarch.Uop, 0, cfg.ROBSize),
 		iqDirty:      true,
 	}
-	c.dispatchRun = make([]frontend.Slot, cfg.Width)
+	c.dispatchRun = make([]frontend.Slot, max(cfg.Width, cfg.RunaheadWidth))
 	// Far (DRAM-latency) completions are bounded by the number of
 	// outstanding misses the MSHRs allow; pre-sizing the heap keeps the
 	// steady state allocation-free.
@@ -198,8 +199,8 @@ func New(cfg Config, gen trace.Generator) (*Core, error) {
 	// never outgrow them post-warmup (lists are drained to length 0 on
 	// wake-up but keep their capacity, so growth is a high-water effect).
 	const waiterCap = 64
-	c.waiters = make([][]wakeRef, 1+cfg.Rename.IntPRF+cfg.Rename.FPPRF)
-	waiterBacking := make([]wakeRef, len(c.waiters)*waiterCap)
+	c.waiters = make([][]uopRef, 1+cfg.Rename.IntPRF+cfg.Rename.FPPRF)
+	waiterBacking := make([]uopRef, len(c.waiters)*waiterCap)
 	for i := range c.waiters {
 		c.waiters[i] = waiterBacking[i*waiterCap : i*waiterCap : (i+1)*waiterCap]
 	}
@@ -390,18 +391,19 @@ func (c *Core) meta(kind recKind, slot int) *slotMeta {
 // sources the entry goes straight onto the ready list.
 func (c *Core) enqueue(kind recKind, slot int, m *slotMeta, r *uopRec) {
 	c.iq.add(kind)
+	ref := uopRef{seq: r.seq, kind: kind, slot: int32(slot), gen: m.gen}
 	wait := uint8(0)
 	if p := r.out.Src1P; p != rename.PRegNone && !c.ren.IsReady(p) {
 		wait++
-		c.waiters[p] = append(c.waiters[p], wakeRef{seq: r.seq, kind: kind, slot: int32(slot), gen: m.gen})
+		c.waiters[p] = append(c.waiters[p], ref)
 	}
 	if p := r.out.Src2P; p != rename.PRegNone && !c.ren.IsReady(p) {
 		wait++
-		c.waiters[p] = append(c.waiters[p], wakeRef{seq: r.seq, kind: kind, slot: int32(slot), gen: m.gen})
+		c.waiters[p] = append(c.waiters[p], ref)
 	}
 	m.srcWait = wait
 	if wait == 0 {
-		c.iq.markReady(kind, slot, m.gen, r.seq)
+		c.iq.markReady(ref)
 		c.iqDirty = true
 	}
 }
@@ -412,7 +414,7 @@ func (c *Core) enqueue(kind recKind, slot int, m *slotMeta, r *uopRec) {
 // re-allocated (in-order commit and in-order PRDQ drain guarantee it), so
 // readiness is monotone and a single wake per completion suffices; stale
 // entries from squashed µops are rejected by the slot generation. Only
-// slotMeta is touched per waiter (the wakeRef carries the seq).
+// slotMeta is touched per waiter (the uopRef carries the seq).
 //
 //sim:hotpath
 func (c *Core) wake(p rename.PReg) {
@@ -429,7 +431,7 @@ func (c *Core) wake(p rename.PReg) {
 		if m.gen == w.gen && m.st == sWaiting && m.srcWait > 0 {
 			m.srcWait--
 			if m.srcWait == 0 {
-				c.iq.markReady(w.kind, int(w.slot), w.gen, w.seq)
+				c.iq.markReady(*w)
 				c.iqDirty = true
 			}
 		}
@@ -733,65 +735,124 @@ func (c *Core) countIssue(class uarch.Class) {
 
 // --- dispatch ----------------------------------------------------------------
 
-func (c *Core) dispatchStage() {
-	if c.inRunahead {
-		switch c.cfg.Mode {
-		case ModeRA:
-			c.dispatchNormal(true)
-		case ModeRABuffer:
-			c.dispatchReplay()
-		case ModePRE, ModePREEMQ:
-			c.dispatchPRE()
-		}
-		// PRE frees runahead registers as the PRDQ drains in order.
-		if c.cfg.Mode == ModePRE || c.cfg.Mode == ModePREEMQ {
-			if c.prdq.Drain(c.renFree) > 0 {
-				c.progressed = true // freed registers can unblock dispatch
-			}
-		}
-		return
-	}
-	if c.emqDraining {
-		c.dispatchFromEMQ()
-		return
-	}
-	c.dispatchNormal(false)
-}
+// µop sources feeding dispatchStage.
+const (
+	srcDecode = iota // the decode pipe: normal mode, RA and PRE runahead
+	srcEMQ           // PRE+EMQ re-dispatching buffered µops after an exit
+	srcReplay        // RA-buffer: the runahead buffer replaying the chain
+)
 
-// dispatchNormal renames and dispatches from the fetch queue; runahead=true
-// is traditional runahead mode (µops tagged for prefetch semantics and
-// pseudo-retirement). The decode-pipe head run is pulled once per cycle
-// (one ring scan) instead of a Peek/Pop pair per µop.
-func (c *Core) dispatchNormal(inRunahead bool) {
-	if c.rob.full() {
-		if !inRunahead {
-			c.onFullWindow()
-		}
-		return
+// dispatchStage is the one dispatch loop every mechanism shares. The µop
+// source is chosen once per cycle. Each µop is admitted by dispatchOne
+// when it takes a ROB slot, or in PRE runahead by admitRunahead (the SST
+// filter plus preExecute). The cycle ends by consuming what was admitted
+// from the source, and decode counting happens there: decode-pipe and
+// replayed µops count as decoded, EMQ µops skip decode.
+//
+//sim:hotpath
+func (c *Core) dispatchStage() {
+	pre := c.inRunahead && (c.cfg.Mode == ModePRE || c.cfg.Mode == ModePREEMQ)
+	src, width := srcDecode, c.cfg.Width
+	switch {
+	case pre:
+		width = c.cfg.RunaheadWidth
+	case c.inRunahead && c.cfg.Mode == ModeRABuffer:
+		src = srcReplay
+	case c.emqDraining:
+		src = srcEMQ
 	}
-	n := c.fetch.ReadyRun(c.now, c.dispatchRun[:c.cfg.Width])
-	consumed := 0
-	for consumed < n {
-		if !c.dispatchOne(c.dispatchRun[consumed], inRunahead) {
-			break
+	n := 0 // µops ready in the decode pipe or the EMQ
+	switch {
+	case pre && c.preScanStop, src == srcReplay && (c.replayDead || c.now < c.replayStart):
+		width = 0
+	case src == srcDecode:
+		n = c.fetch.ReadyRun(c.now, c.dispatchRun[:width])
+	case src == srcEMQ:
+		n = min(c.emq.Len(), width)
+	}
+
+	k := 0 // µops admitted this cycle
+loop:
+	for k < width {
+		var seq int64
+		misp := false
+		switch src {
+		case srcDecode:
+			// Read past the ready run when k == n; tested below.
+			seq, misp = c.dispatchRun[k].Seq, c.dispatchRun[k].Mispredicted
+		case srcEMQ:
+			if k == n {
+				c.emqDraining = false
+				c.progressed = true
+				break loop
+			}
+			seq = c.emq.At(k)
+		case srcReplay:
+			// Iterations are prepared lazily: preparing overwrites
+			// replayPending, so never ahead of admission.
+			if c.replayIdx >= len(c.replayPending) {
+				c.progressed = true // the stream scan mutates replay state either way
+				if !c.prepareReplayIteration() {
+					break loop
+				}
+			}
+			seq = c.replayPending[c.replayIdx]
 		}
-		consumed++
+		if pre {
+			if k == n || !c.admitRunahead(seq, misp) {
+				break
+			}
+			k++
+			if c.preScanStop {
+				break // divergence stop, after the µop that caused it
+			}
+			continue
+		}
+		// The ROB test precedes the decode pipe's availability test
+		// (k == n), so a full window is reported even with nothing
+		// ready; the EMQ and replay sources test availability first.
 		if c.rob.full() {
-			if consumed < c.cfg.Width && !inRunahead {
+			if !c.inRunahead {
 				c.onFullWindow()
 			}
 			break
 		}
+		if (src == srcDecode && k == n) || !c.dispatchOne(seq, misp) {
+			break
+		}
+		k++
+		if src == srcReplay {
+			c.replayIdx++
+		}
 	}
-	c.fetch.PopN(consumed)
+
+	switch src {
+	case srcDecode:
+		c.fetch.PopN(k)
+		c.stats.Decoded += int64(k)
+		if pre && k > 0 && c.preResumeSeq < 0 {
+			c.preResumeSeq = c.dispatchRun[0].Seq
+		}
+	case srcEMQ:
+		c.emq.PopN(k)
+		c.stats.EMQDispatched += int64(k)
+	case srcReplay:
+		c.stats.Decoded += int64(k)
+	}
+	// PRE frees runahead registers as the PRDQ drains in order.
+	if pre && c.prdq.Drain(c.renFree) > 0 {
+		c.progressed = true // freed registers can unblock dispatch
+	}
 }
 
 // dispatchOne admits one µop into the back end (ROB path); it returns
-// false if a resource is unavailable (retry next cycle).
+// false if a resource is unavailable (retry next cycle). In RA and
+// RA-buffer runahead the µop is tagged for prefetch semantics and
+// pseudo-retirement.
 //
 //sim:hotpath
-func (c *Core) dispatchOne(slot frontend.Slot, inRunahead bool) bool {
-	u := c.stream.At(slot.Seq)
+func (c *Core) dispatchOne(seq int64, mispredicted bool) bool {
+	u := c.stream.At(seq)
 	if c.iq.full() || !c.ren.CanRename(u.Dst) {
 		return false
 	}
@@ -802,7 +863,7 @@ func (c *Core) dispatchOne(slot frontend.Slot, inRunahead bool) bool {
 		return false
 	}
 
-	out, ok := c.ren.Rename(u, inRunahead)
+	out, ok := c.ren.Rename(u, c.inRunahead)
 	if !ok {
 		return false
 	}
@@ -810,10 +871,10 @@ func (c *Core) dispatchOne(slot frontend.Slot, inRunahead bool) bool {
 	m, r := &c.rob.meta[idx], &c.rob.rec[idx]
 	m.st = sWaiting // gen is preserved across slot reuse
 	m.flags = 0
-	if slot.Mispredicted {
+	if mispredicted {
 		m.flags = fMispredicted
 	}
-	if inRunahead {
+	if c.inRunahead {
 		m.flags |= fInRunahead
 	}
 	r.seq = u.Seq
@@ -830,10 +891,9 @@ func (c *Core) dispatchOne(slot frontend.Slot, inRunahead bool) bool {
 		m.flags |= fLQHeld
 	}
 	if u.IsStore() {
-		r.sqIdx = int32(c.sq.push(u.Seq, u.Addr, u.Size, inRunahead))
+		r.sqIdx = int32(c.sq.push(u.Seq, u.Addr, u.Size, c.inRunahead))
 	}
 	c.enqueue(kROB, idx, m, r)
-	c.stats.Decoded++
 	c.stats.Renamed++
 	c.stats.Dispatched++
 	if c.measuringRefill {

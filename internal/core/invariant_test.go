@@ -147,22 +147,33 @@ func TestWalkDelaysReplay(t *testing.T) {
 	}
 }
 
-// TestEMQDeferredEntry verifies PRE+EMQ does not re-enter runahead while
-// the EMQ is still re-dispatching the previous episode.
+// TestEMQDeferredEntry verifies that PRE+EMQ defers runahead entry until
+// the EMQ has drained, and that the EMQ conserves µops: every buffered
+// µop is re-dispatched exactly once, none is discarded at an exit or a
+// re-entry. Statistics are never reset, so the counters cover the whole
+// run.
 func TestEMQDeferredEntry(t *testing.T) {
-	w, _ := workload.ByName("milc")
-	c := newCore(t, ModePREEMQ, w.New())
-	c.Run(5_000)
-	for i := 0; i < 2_000_000; i++ {
-		c.Step()
-		if c.InRunahead() && c.emqDraining && c.emqScan == 0 && c.emq.Len() > 0 {
-			// Entering while draining is only legal through the scan path;
-			// with deferral active this state must not occur at entry.
-			// (The emqScan cursor is 0 only right at entry.)
-			t.Fatal("entered runahead while the EMQ was draining")
-		}
-		if c.Stats().Entries > 50 {
-			return
-		}
+	for _, name := range []string{"milc", "libquantum", "mcf", "lbm"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w, _ := workload.ByName(name)
+			c := newCore(t, ModePREEMQ, w.New())
+			for i := 0; i < 2_000_000 && c.stats.Entries < 300; i++ {
+				entries, buffered := c.stats.Entries, c.emq.Len()
+				c.Step()
+				if c.stats.Entries > entries && buffered > 0 {
+					t.Fatalf("cycle %d: entered runahead with %d µops still in the EMQ", c.now-1, buffered)
+				}
+				q := c.emq.Stats()
+				if q.Pushes != c.stats.EMQDispatched+int64(c.emq.Len()) || q.Pops != c.stats.EMQDispatched {
+					t.Fatalf("cycle %d: EMQ pushes %d, pops %d, buffered %d, re-dispatched %d",
+						c.now-1, q.Pushes, q.Pops, c.emq.Len(), c.stats.EMQDispatched)
+				}
+			}
+			if c.stats.Entries == 0 || c.stats.EMQDispatched == 0 {
+				t.Fatalf("no EMQ traffic: %d entries, %d re-dispatched", c.stats.Entries, c.stats.EMQDispatched)
+			}
+		})
 	}
 }

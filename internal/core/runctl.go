@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/frontend"
 	"repro/internal/rename"
 	"repro/internal/uarch"
 )
@@ -121,10 +120,7 @@ func (c *Core) enterRunahead(hm *slotMeta, hr *uopRec) {
 		c.ren.MarkPoisoned(hr.out.DstP, false)
 		c.sst.Insert(c.stallPC)
 		c.prdq.Clear()
-		if !c.emqDraining {
-			c.emq.Clear()
-		}
-		c.emqScan = 0
+		c.emq.Clear()
 		c.preResumeSeq = -1
 		c.preDiverged = 0
 		c.preScanStop = false
@@ -192,80 +188,54 @@ func (c *Core) exitRunahead() {
 
 // --- PRE runahead dispatch --------------------------------------------------
 
-// dispatchPRE filters decoded µops through the SST at RunaheadWidth per
-// cycle, executing hits on free resources. In PRE+EMQ mode every new
-// decode is buffered into the EMQ; if a previous episode's EMQ was still
-// draining at entry, the remaining buffered µops are scanned first (they
-// are the immediate future of the instruction stream).
-func (c *Core) dispatchPRE() {
-	if c.preScanStop {
-		return
-	}
+// admitRunahead filters one decoded µop through the SST in PRE runahead
+// mode (Section 3.2): hits execute on free resources, misses are dropped.
+// In PRE+EMQ mode every admitted decode is buffered into the EMQ. It
+// returns false when the µop stays queued: the EMQ is full, or an SST hit
+// found no free resources and retries next cycle.
+//
+//sim:hotpath
+func (c *Core) admitRunahead(seq int64, mispredicted bool) bool {
 	useEMQ := c.cfg.Mode == ModePREEMQ
-	for n := 0; n < c.cfg.RunaheadWidth; n++ {
-		var seq int64
-		var misp, fromEMQ bool
-		if c.emqDraining && c.emqScan < c.emq.Len() {
-			seq = c.emq.At(c.emqScan)
-			fromEMQ = true
-		} else {
-			slot, ok := c.fetch.Peek(c.now)
-			if !ok {
-				return
-			}
-			if useEMQ && c.emq.Full() {
-				// Paper: when the EMQ fills, the core stalls until the
-				// stalling load returns.
-				c.preScanStop = true
-				c.progressed = true
-				return
-			}
-			seq = slot.Seq
-			misp = slot.Mispredicted
-		}
-		u := c.stream.At(seq)
-		if c.sst.Lookup(u.PC) {
-			c.learnProducers(u)
-			if !c.preExecute(u, misp) {
-				// Resources exhausted: leave the µop queued; retry. The
-				// retry re-probes the SST (a counted lookup) every cycle,
-				// so the cycle is not skippable.
-				c.retryBlocked = true
-				return
-			}
-		} else if misp {
-			// A mispredicted branch that will not execute: charge a
-			// redirect bubble and track divergence (the real front-end
-			// would wander off-path).
-			c.fetch.Bubble(c.now, int64(c.cfg.Fetch.Depth))
-			c.preDiverged++
-			if c.preDiverged > c.cfg.PREMaxDivergence {
-				c.preScanStop = true
-				c.stats.DivergenceStops++
-			}
-		}
+	if useEMQ && c.emq.Full() {
+		// Paper: when the EMQ fills, the core stalls until the stalling
+		// load returns.
+		c.preScanStop = true
 		c.progressed = true
-		if fromEMQ {
-			c.emqScan++ // already decoded and buffered; nothing else to do
-		} else {
-			c.fetch.Pop(c.now)
-			c.stats.Decoded++
-			if c.preResumeSeq < 0 {
-				c.preResumeSeq = seq
-			}
-			if useEMQ {
-				c.emq.Push(seq)
-			}
+		return false
+	}
+	u := c.stream.At(seq)
+	if c.sst.Lookup(u.PC) {
+		c.learnProducers(u)
+		if !c.preExecute(u, mispredicted) {
+			// The retry re-probes the SST (a counted lookup) every cycle,
+			// so the cycle is not skippable.
+			c.retryBlocked = true
+			return false
 		}
-		if c.preScanStop {
-			return
+	} else if mispredicted {
+		// A mispredicted branch that will not execute: charge a redirect
+		// bubble and track divergence (the real front-end would wander
+		// off-path).
+		c.fetch.Bubble(c.now, int64(c.cfg.Fetch.Depth))
+		c.preDiverged++
+		if c.preDiverged > c.cfg.PREMaxDivergence {
+			c.preScanStop = true
+			c.stats.DivergenceStops++
 		}
 	}
+	c.progressed = true
+	if useEMQ {
+		c.emq.Push(seq)
+	}
+	return true
 }
 
 // preExecute renames and dispatches one SST-hit µop in PRE runahead mode.
 // It returns false when a resource (register, PRDQ, IQ, LQ, pool slot) is
 // unavailable this cycle.
+//
+//sim:hotpath
 func (c *Core) preExecute(u *uarch.Uop, mispredicted bool) bool {
 	// All checks precede all side effects.
 	if !c.ren.CanRename(u.Dst) || c.prdq.Full() {
@@ -348,31 +318,6 @@ func (c *Core) preExecute(u *uarch.Uop, mispredicted bool) bool {
 	return true
 }
 
-// --- EMQ drain ----------------------------------------------------------------
-
-// dispatchFromEMQ re-dispatches buffered µops after a PRE+EMQ exit,
-// skipping fetch and decode.
-func (c *Core) dispatchFromEMQ() {
-	for n := 0; n < c.cfg.Width; n++ {
-		seq, ok := c.emq.Peek()
-		if !ok {
-			c.emqDraining = false
-			c.progressed = true
-			return
-		}
-		if c.rob.full() {
-			c.onFullWindow()
-			return
-		}
-		if !c.dispatchOne(frontend.Slot{Seq: seq}, false) {
-			return
-		}
-		c.stats.Decoded-- // dispatchOne counted a decode; EMQ µops skip it
-		c.stats.EMQDispatched++
-		c.emq.Pop()
-	}
-}
-
 // --- RA-buffer replay -----------------------------------------------------------
 
 // initReplay extracts the stalling chain from the ROB (backward dataflow
@@ -448,30 +393,4 @@ func (c *Core) prepareReplayIteration() bool {
 	}
 	c.replayCursor = q
 	return true
-}
-
-// dispatchReplay feeds the pipeline from the runahead buffer: the chain's
-// future dynamic instances, renamed and executed through the normal back
-// end with pseudo-retirement.
-func (c *Core) dispatchReplay() {
-	if c.replayDead || c.now < c.replayStart {
-		return
-	}
-	for n := 0; n < c.cfg.Width; n++ {
-		if c.replayIdx >= len(c.replayPending) {
-			// The stream scan mutates replay state either way.
-			c.progressed = true
-			if !c.prepareReplayIteration() {
-				return
-			}
-		}
-		if c.rob.full() {
-			return
-		}
-		seq := c.replayPending[c.replayIdx]
-		if !c.dispatchOne(frontend.Slot{Seq: seq}, true) {
-			return
-		}
-		c.replayIdx++
-	}
 }

@@ -82,12 +82,13 @@ func TestCycleSkipLockstepSynth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RA-buffer matters here independently: its replay engine scans far
-	// ahead of the stalled window with the front end power-gated, so a
-	// sampled scenario's phase switch can land mid-episode — the replay
-	// cursor crosses the phase boundary (a ClassJump kills the chain) in
-	// ways the fixed suite proxies never schedule.
-	for _, mode := range []Mode{ModeOoO, ModeRABuffer, ModePRE} {
+	// Every mode, because each one feeds dispatch from its own µop source
+	// and a sampled scenario's phase switch can land mid-episode. RA-buffer
+	// matters independently: its replay engine scans far ahead of the
+	// stalled window with the front end power-gated, so the replay cursor
+	// crosses the phase boundary (a ClassJump kills the chain) in ways the
+	// fixed suite proxies never schedule.
+	for _, mode := range Modes() {
 		mode := mode
 		t.Run(sc.Name()+"/"+mode.String(), func(t *testing.T) {
 			t.Parallel()

@@ -196,19 +196,12 @@ func (p *prePool) flush() {
 
 // --- issue queue -----------------------------------------------------------
 
-// wakeRef identifies a µop waiting on a physical register's data. It
-// carries the waiter's seq so a wake-up never has to touch the cold record
-// to file the µop on the ready list.
-type wakeRef struct {
-	seq  int64
-	gen  uint32
-	slot int32
-	kind recKind
-}
-
-// readyRef is a waiting µop whose sources have all arrived, keyed by
-// sequence number for program-ordered issue priority.
-type readyRef struct {
+// uopRef names one in-flight µop by slot and generation (a stale ref to a
+// squashed µop fails the generation check). It serves both the waiter
+// lists of a physical register and the ready list. It carries the µop's
+// seq, so a wake-up files the µop on the seq-ordered ready list without
+// touching the cold record.
+type uopRef struct {
 	seq  int64
 	gen  uint32
 	slot int32
@@ -222,13 +215,13 @@ type readyRef struct {
 // completes. This keeps the per-cycle issue scan proportional to the
 // handful of issueable µops instead of the whole 92-entry queue.
 type issueQueue struct {
-	ready  []readyRef // srcWait==0 waiting entries, seq-ascending
-	count  int        // all waiting entries (ready + source-pending)
-	preCnt int        // of those, kPRE transients (PRE-exit accounting)
+	ready  []uopRef // srcWait==0 waiting entries, seq-ascending
+	count  int      // all waiting entries (ready + source-pending)
+	preCnt int      // of those, kPRE transients (PRE-exit accounting)
 	cap    int
 }
 
-func newIQ(n int) *issueQueue { return &issueQueue{ready: make([]readyRef, 0, n), cap: n} }
+func newIQ(n int) *issueQueue { return &issueQueue{ready: make([]uopRef, 0, n), cap: n} }
 
 func (q *issueQueue) full() bool     { return q.count >= q.cap }
 func (q *issueQueue) len() int       { return q.count }
@@ -253,23 +246,22 @@ func (q *issueQueue) issued(kind recKind) {
 // markReady files a µop whose sources are all available, keeping the
 // ready list seq-sorted. Dispatch appends in program order (fast path);
 // wake-ups insert older µops by binary search.
-func (q *issueQueue) markReady(kind recKind, slot int, gen uint32, seq int64) {
-	r := readyRef{kind: kind, slot: int32(slot), gen: gen, seq: seq}
+func (q *issueQueue) markReady(r uopRef) {
 	n := len(q.ready)
-	if n == 0 || q.ready[n-1].seq < seq {
+	if n == 0 || q.ready[n-1].seq < r.seq {
 		q.ready = append(q.ready, r)
 		return
 	}
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if q.ready[mid].seq < seq {
+		if q.ready[mid].seq < r.seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	q.ready = append(q.ready, readyRef{})
+	q.ready = append(q.ready, uopRef{})
 	copy(q.ready[lo+1:], q.ready[lo:])
 	q.ready[lo] = r
 }

@@ -108,9 +108,9 @@ func TestIssueQueueOrderAndFilter(t *testing.T) {
 	}
 	// Ready-list ordering: appends in program order, wake-up insertions
 	// in the middle keep seq-ascending order.
-	q.markReady(kROB, 0, 0, 10)
-	q.markReady(kROB, 2, 0, 30)
-	q.markReady(kPRE, 1, 0, 20) // woken later, but older than slot 2
+	q.markReady(uopRef{kind: kROB, slot: 0, seq: 10})
+	q.markReady(uopRef{kind: kROB, slot: 2, seq: 30})
+	q.markReady(uopRef{kind: kPRE, slot: 1, seq: 20}) // woken later, but older than slot 2
 	if len(q.ready) != 3 || q.ready[0].seq != 10 || q.ready[1].seq != 20 || q.ready[2].seq != 30 {
 		t.Errorf("ready order %v", q.ready)
 	}

@@ -66,7 +66,7 @@ type FetchUnit struct {
 
 	// queue is a fixed-capacity ring of fetched µops (decode pipe + µop
 	// queue); qHead/qLen index it. A ring (rather than a shifted slice)
-	// keeps Pop O(1) — with up to Width pops per cycle, slice shifting
+	// keeps PopN O(1) — with up to Width pops per cycle, slice shifting
 	// was a measurable share of the simulator's hot path.
 	queue []Slot
 	qHead int
@@ -264,32 +264,12 @@ func (f *FetchUnit) AddStats(d Stats) {
 	f.stats.FreezeCycles += d.FreezeCycles
 }
 
-// Pop removes and returns the oldest µop if it has cleared the decode pipe
-// by cycle now.
-func (f *FetchUnit) Pop(now int64) (Slot, bool) {
-	if f.qLen == 0 || f.queue[f.qHead].Ready > now {
-		return Slot{}, false
-	}
-	s := f.queue[f.qHead]
-	f.qHead = (f.qHead + 1) % len(f.queue)
-	f.qLen--
-	return s, true
-}
-
-// Peek returns the oldest µop without removing it.
-func (f *FetchUnit) Peek(now int64) (Slot, bool) {
-	if f.qLen == 0 || f.queue[f.qHead].Ready > now {
-		return Slot{}, false
-	}
-	return f.queue[f.qHead], true
-}
-
 // ReadyRun copies into dst the leading run of queued µops that have
 // cleared the decode pipe by cycle now, without removing them, and returns
 // the run length. Ready times are nondecreasing along the queue (fetch
-// cycles are, and the pipe depth is fixed), so the run is exactly the
-// sequence repeated Peek calls would yield. The dispatcher reads the run
-// once per cycle and retires what it consumed with PopN.
+// cycles are, and the pipe depth is fixed), so the run is every µop that
+// has cleared the pipe, oldest first. The dispatcher reads the run once
+// per cycle and retires what it consumed with PopN.
 func (f *FetchUnit) ReadyRun(now int64, dst []Slot) int {
 	n := f.qLen
 	if n > len(dst) {

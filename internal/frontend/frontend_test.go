@@ -146,6 +146,17 @@ func newFetchHarness(qsize int) (*FetchUnit, *trace.Stream) {
 	return NewFetchUnit(cfg, s, p, h), s
 }
 
+// popOne removes the oldest µop if it has cleared the decode pipe by
+// cycle now, through the dispatcher's ReadyRun/PopN pair.
+func popOne(f *FetchUnit, now int64) (Slot, bool) {
+	var run [1]Slot
+	if f.ReadyRun(now, run[:]) == 0 {
+		return Slot{}, false
+	}
+	f.PopN(1)
+	return run[0], true
+}
+
 func TestFetchColdICacheMissStalls(t *testing.T) {
 	f, _ := newFetchHarness(0)
 	f.Cycle(0)
@@ -170,11 +181,11 @@ func TestFetchDeliversAfterDepth(t *testing.T) {
 		now++
 	}
 	fetchCycle := now - 1
-	slot, ok := f.Peek(fetchCycle)
-	if ok {
-		t.Fatalf("µop visible at fetch cycle: %+v", slot)
+	var run [1]Slot
+	if f.ReadyRun(fetchCycle, run[:]) != 0 {
+		t.Fatalf("µop visible at fetch cycle: %+v", run[0])
 	}
-	slot, ok = f.Pop(fetchCycle + 8)
+	slot, ok := popOne(f, fetchCycle+8)
 	if !ok {
 		t.Fatal("µop must clear the 8-deep pipe")
 	}
@@ -221,7 +232,7 @@ func TestFetchPopFIFOOrder(t *testing.T) {
 	}
 	var last int64 = -1
 	for {
-		s, ok := f.Pop(now + 100)
+		s, ok := popOne(f, now+100)
 		if !ok {
 			break
 		}
@@ -297,7 +308,7 @@ func TestRewindRestartsFetch(t *testing.T) {
 	for i := int64(10); i < 40; i++ {
 		f.Cycle(now + i)
 	}
-	s, ok := f.Pop(now + 100)
+	s, ok := popOne(f, now+100)
 	if !ok || s.Seq != 3 {
 		t.Fatalf("first refetched µop = %+v, want seq 3", s)
 	}

@@ -69,7 +69,7 @@ func TestAnnotationRegistryParsesFromRepoSources(t *testing.T) {
 	}
 	t.Logf("annotation counts: %v", counts)
 	min := map[string]int{
-		annot.KindHotPath:   19, // core pipeline stages, runahead structures, mem, prefetchers
+		annot.KindHotPath:   23, // core pipeline stages, runahead structures, mem, prefetchers
 		annot.KindPure:      6,  // skipper probes on cache/mem
 		annot.KindWallclock: 10, // meta.json timings, progress display, test deadlines
 	}
@@ -86,6 +86,7 @@ func TestAnnotationRegistryParsesFromRepoSources(t *testing.T) {
 		fileSuffix, fn, kind string
 	}{
 		{"internal/core/core.go", "Step", annot.KindHotPath},
+		{"internal/core/core.go", "dispatchStage", annot.KindHotPath},
 		{"internal/core/skip.go", "skipAhead", annot.KindHotPath},
 		{"internal/cache/cache.go", "Contains", annot.KindPure},
 		{"internal/cache/cache.go", "RunaheadInFlight", annot.KindPure},

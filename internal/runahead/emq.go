@@ -63,32 +63,20 @@ func (q *EMQ) Push(seq int64) bool {
 	return true
 }
 
-// Pop removes and returns the oldest buffered sequence number.
-func (q *EMQ) Pop() (int64, bool) {
-	if q.size == 0 {
-		return 0, false
-	}
-	s := q.seqs[q.head]
-	q.head = (q.head + 1) % len(q.seqs)
-	q.size--
-	q.stats.Pops++
-	return s, true
-}
-
-// Peek returns the oldest buffered sequence number without removing it.
-func (q *EMQ) Peek() (int64, bool) {
-	if q.size == 0 {
-		return 0, false
-	}
-	return q.seqs[q.head], true
+// PopN removes the k oldest buffered sequence numbers (0 <= k <= Len):
+// the µops the core re-dispatched this cycle.
+//
+//sim:hotpath
+func (q *EMQ) PopN(k int) {
+	q.head = (q.head + k) % len(q.seqs)
+	q.size -= k
+	q.stats.Pops += int64(k)
 }
 
 // Clear discards all entries.
 func (q *EMQ) Clear() { q.head, q.size = 0, 0 }
 
 // At returns the i-th oldest buffered sequence number (0 <= i < Len).
-// Runahead re-entry while the EMQ is still draining scans the remaining
-// buffered µops through the SST before reading new decodes.
 func (q *EMQ) At(i int) int64 {
 	if i < 0 || i >= q.size {
 		panic("runahead: EMQ index out of range")

@@ -226,28 +226,34 @@ func TestEMQFIFO(t *testing.T) {
 	if q.Stats().Stalls != 1 {
 		t.Error("stall not counted")
 	}
-	if v, ok := q.Peek(); !ok || v != 0 {
-		t.Error("peek wrong")
+	if v := q.At(3); v != 30 {
+		t.Errorf("At(3) = %d, want 30", v)
 	}
 	for i := int64(0); i < 4; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i*10 {
-			t.Fatalf("pop %d = %d,%v", i, v, ok)
+		if v := q.At(0); v != i*10 {
+			t.Fatalf("pop %d = %d", i, v)
 		}
+		q.PopN(1)
 	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("empty pop must fail")
+	if q.Len() != 0 || q.Stats().Pops != 4 {
+		t.Fatalf("after 4 pops: len %d, pops %d", q.Len(), q.Stats().Pops)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At on an empty EMQ must panic")
+		}
+	}()
+	q.At(0)
 }
 
 func TestEMQWraparound(t *testing.T) {
 	q := NewEMQ(3)
 	for round := int64(0); round < 10; round++ {
 		q.Push(round)
-		v, ok := q.Pop()
-		if !ok || v != round {
-			t.Fatalf("round %d: %d,%v", round, v, ok)
+		if v := q.At(0); q.Len() != 1 || v != round {
+			t.Fatalf("round %d: %d (len %d)", round, v, q.Len())
 		}
+		q.PopN(1)
 	}
 }
 

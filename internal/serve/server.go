@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -197,6 +198,10 @@ type Server struct {
 	queue chan *job
 	quit  chan struct{}
 	wg    sync.WaitGroup
+
+	// specTimeout bounds reading a job spec's body (specReadTimeout;
+	// tests shorten it).
+	specTimeout time.Duration
 }
 
 // New builds a Server and starts its job workers. Close releases them.
@@ -208,10 +213,11 @@ func New(cfg Config) *Server {
 		cfg.JobWorkers = 1
 	}
 	s := &Server{
-		cfg:   cfg,
-		jobs:  make(map[string]*job),
-		queue: make(chan *job, cfg.QueueDepth),
-		quit:  make(chan struct{}),
+		cfg:         cfg,
+		jobs:        make(map[string]*job),
+		queue:       make(chan *job, cfg.QueueDepth),
+		quit:        make(chan struct{}),
+		specTimeout: specReadTimeout,
 	}
 	for i := 0; i < cfg.JobWorkers; i++ {
 		s.wg.Add(1)
@@ -632,6 +638,11 @@ func (j *job) status() JobStatus {
 // maxSpecBytes caps a submitted JobSpec body; larger bodies get 413.
 const maxSpecBytes = 1 << 20
 
+// specReadTimeout bounds how long a job spec's body may take to arrive.
+// The HTTP server's ReadHeaderTimeout covers only the headers, so without
+// it a client trickling its body would hold a connection forever.
+const specReadTimeout = 10 * time.Second
+
 // decodeSpec reads a submitted JobSpec. Unknown fields are errors, so a
 // stale spec that names a removed option gets a 400 instead of running
 // without it.
@@ -651,12 +662,20 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		// The deadline lasts for this request only: the HTTP server resets
+		// it before reading the connection's next request. Only a writer
+		// without a connection (a test recorder) fails to set it.
+		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.specTimeout)) //sim:wallclock connection deadline, not results
 		spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		if err != nil {
 			code := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
+			switch {
+			case errors.As(err, &tooBig):
 				code = http.StatusRequestEntityTooLarge
+			case errors.Is(err, os.ErrDeadlineExceeded):
+				code = http.StatusRequestTimeout
+				err = fmt.Errorf("body not received within %v", s.specTimeout)
 			}
 			httpError(w, code, fmt.Errorf("decoding job spec: %w", err))
 			return

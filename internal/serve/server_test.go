@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -742,5 +744,108 @@ func TestServerEvictsOldestFinishedJobs(t *testing.T) {
 	env.srv.mu.Unlock()
 	if retained != maxFinishedJobs+1 || order != retained {
 		t.Errorf("server retains %d jobs (%d ordered), want %d", retained, order, maxFinishedJobs+1)
+	}
+}
+
+// A client that sends a job spec's headers and then stalls mid-body gets a
+// 408 once the read deadline passes, and its connection is closed. The
+// deadline covers that one request: the server keeps serving, and an event
+// stream read on the connection that submitted its job runs past the
+// deadline without being cut off.
+//
+//sim:wallclock test deadlines and stream duration only
+func TestServerSpecReadDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real simulation")
+	}
+	const deadline = 100 * time.Millisecond
+	srv := New(Config{SimWorkers: 1})
+	srv.specTimeout = deadline
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	dial := func() (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		return conn, bufio.NewReader(conn)
+	}
+	post := func(conn net.Conn, length int, body string) {
+		fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: simd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", length, body)
+	}
+
+	// Six bytes of a promised thousand, then silence.
+	conn, br := dial()
+	start := time.Now()
+	post(conn, 1000, `{"name`)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("stalled body: no response: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("stalled body: status %d, want 408", resp.StatusCode)
+	}
+	if waited := time.Since(start); waited < deadline {
+		t.Errorf("408 after %v, before the %v deadline", waited, deadline)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Errorf("connection still open after the 408: read error %v", err)
+	}
+
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after a timed-out spec: status %d", hz.StatusCode)
+	}
+
+	// Submit a job and stream its events over one connection.
+	spec := testSpec(2)
+	spec.MeasureUops = 500_000
+	b, _ := json.Marshal(spec)
+	conn, br = dial()
+	post(conn, len(b), string(b))
+	resp, err = http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	start = time.Now()
+	fmt.Fprintf(conn, "GET /v1/jobs/%s/events HTTP/1.1\r\nHost: simd\r\n\r\n", st.ID)
+	resp, err = http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last Event
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("event stream cut off: %v", err)
+	}
+	if last.Type != StateDone {
+		t.Fatalf("event stream ended with %+v, want a done event", last)
+	}
+	if streamed := time.Since(start); streamed <= deadline {
+		t.Fatalf("job streamed for only %v; it must outlive the %v deadline", streamed, deadline)
 	}
 }
