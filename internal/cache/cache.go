@@ -170,6 +170,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters (measurement-window start).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
+// Counters returns the live counters; ResetStats zeroes them in place.
+func (c *Cache) Counters() *Stats { return &c.stats }
+
 // HitLatency returns the configured lookup latency.
 func (c *Cache) HitLatency() int { return c.cfg.HitLatency }
 
@@ -425,26 +428,6 @@ func (c *Cache) NextMSHRRelease(now int64) (int64, bool) {
 		}
 	}
 	return best, ok
-}
-
-// AddStats accumulates d into the counters. The core's cycle skipper uses
-// it to account, in bulk, the per-cycle statistics of skipped steady
-// retry cycles; d must describe exactly what the skipped cycles would
-// have counted.
-func (c *Cache) AddStats(d Stats) {
-	c.stats.Accesses += d.Accesses
-	c.stats.Hits += d.Hits
-	c.stats.Misses += d.Misses
-	c.stats.MSHRStalls += d.MSHRStalls
-	c.stats.PrefetchFills += d.PrefetchFills
-	c.stats.PrefetchUseful += d.PrefetchUseful
-	c.stats.HWPrefFills += d.HWPrefFills
-	c.stats.HWPrefUseful += d.HWPrefUseful
-	c.stats.HWPrefLate += d.HWPrefLate
-	c.lifeHWUseful += d.HWPrefUseful
-	c.lifeHWLate += d.HWPrefLate
-	c.stats.Evictions += d.Evictions
-	c.stats.Writebacks += d.Writebacks
 }
 
 // LifetimeHWPref returns the never-reset hardware-prefetch usefulness

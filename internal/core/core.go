@@ -83,7 +83,7 @@ type Core struct {
 	// Deadlock watchdog.
 	lastProgress int64
 
-	// Cycle-skip bookkeeping (see Run). progressed is set by any stage
+	// Cycle-skip bookkeeping (see skip.go). progressed is set by any stage
 	// that mutates machine state in a way later cycles could observe;
 	// retryBlocked is set when something is retrying a time-dependent
 	// resource (MSHR-full load, busy divider, I-cache MSHR) whose retry
@@ -148,6 +148,10 @@ type Core struct {
 	// Episode-entry stat baselines for the exit event's deltas; only
 	// written when tel is attached.
 	telDispatched, telPrefetches, telINV int64
+
+	// retryCtrs is the retry counter table (skip.go): pointers to every
+	// live counter a retry cycle may touch, in retrySnap order.
+	retryCtrs [retryReplicable + retryGuards]*int64
 }
 
 // New builds a core in the given mode over a fresh trace stream.
@@ -216,6 +220,7 @@ func New(cfg Config, gen trace.Generator) (*Core, error) {
 		return ok
 	}
 	c.renFree = c.ren.Free
+	c.bindRetryCounters()
 	return c, nil
 }
 
@@ -272,52 +277,15 @@ func (c *Core) ResetStats() {
 // cycles spent. It panics if the machine stops making progress (a model
 // bug, not a workload property).
 //
-// Run is event-driven. Two mechanisms avoid burning a host iteration per
-// simulated stall cycle, both producing statistics byte-identical to
-// stepping every cycle (set DisableCycleSkip to verify):
-//
-//   - Inert skip: a Step that made no progress and has nothing retrying
-//     is provably inert until the next wake-up (completion event,
-//     runahead exit, fetch thaw/line arrival, decode-pipe readiness,
-//     replay start); time jumps there with per-cycle counters
-//     bulk-incremented (skipAhead).
-//
-//   - Retry amortization: a Step that only re-attempted structurally
-//     blocked resources (e.g. loads on exhausted MSHRs) repeats with
-//     identical counter deltas until a wake-up, an MSHR release or a
-//     divider frees. Run proves the repetition on two consecutive
-//     cycles, then applies the delta in bulk (retrySkip, see skip.go).
+// Run is event-driven (skip.go): it jumps over inert cycles and amortizes
+// steady retry spans, with statistics byte-identical to stepping every
+// cycle (set DisableCycleSkip to verify).
 func (c *Core) Run(n int64) int64 {
 	start := c.now
 	target := c.stats.Committed + n
-	var pre, post, prevDelta retrySnap
-	fpArmed, prevValid := false, false
+	var p retryProof
 	for c.stats.Committed < target {
-		if fpArmed {
-			c.captureRetry(&pre)
-		}
-		c.Step()
-		switch {
-		case c.DisableCycleSkip || c.progressed:
-			fpArmed, prevValid = false, false
-		case !c.retryBlocked:
-			c.skipAhead()
-			fpArmed, prevValid = false, false
-		case fpArmed:
-			c.captureRetry(&post)
-			delta := post.sub(&pre)
-			if prevValid && delta == prevDelta && delta.replicable() {
-				if c.retrySkip(&delta) {
-					// State at the wake-up cycle may differ; re-prove.
-					fpArmed, prevValid = false, false
-				}
-				// A no-op retrySkip leaves the proven delta valid.
-			} else {
-				prevDelta, prevValid = delta, true
-			}
-		default:
-			fpArmed = true // start measuring deltas next cycle
-		}
+		c.skipStep(&p)
 		if c.now-c.lastProgress > watchdogCycles {
 			panic(fmt.Sprintf("core: no commit in %d cycles at cycle %d (mode %v, runahead=%v, rob=%d/%d, iq=%d)",
 				watchdogCycles, c.now, c.cfg.Mode, c.inRunahead, c.rob.len(), c.rob.cap(), c.iq.len()))

@@ -1,172 +1,147 @@
 package core
 
-import (
-	"repro/internal/cache"
-	"repro/internal/frontend"
-	"repro/internal/runahead"
-)
+import "fmt"
 
-// This file implements the second half of event-driven cycle skipping:
-// fast-forwarding steady *retry* spans.
+// This file implements event-driven cycle skipping. Run calls skipStep
+// once per cycle, and after a Step that made no progress it skips ahead.
 //
-// skipAhead (core.go) handles provably inert cycles. But the dominant
-// stall pattern on memory-bound workloads is not inert: a ready load (or
-// store drain, or instruction fetch) retries a structurally blocked
-// resource — usually exhausted MSHRs — every cycle, and each retry counts
-// real statistics (cache accesses, misses, MSHR stalls). Those cycles
-// cannot be elided, but they can be amortized: between wake-up events the
+// skipAhead jumps over provably inert cycles. But the dominant stall
+// pattern on memory-bound workloads is not inert: a ready load (or store
+// drain, or instruction fetch) retries a structurally blocked resource —
+// usually exhausted MSHRs — every cycle, and each retry counts real
+// statistics (cache accesses, misses, MSHR stalls). Those cycles cannot
+// be elided, but they can be amortized: between wake-up events the
 // machine's behavior is a constant function, so every retry cycle
-// produces the *same* counter deltas. Run proves this empirically (two
-// consecutive no-progress cycles with identical deltas and no
+// produces the *same* counter deltas. skipStep proves this empirically
+// (two consecutive no-progress cycles with identical deltas and no
 // state-changing activity) and then applies the per-cycle delta in bulk
 // up to the next wake-up: the earliest completion event, runahead exit,
 // replay start, fetch thaw / line arrival / decode readiness, occupied-
 // MSHR release at any cache level, or divide-unit release. DRAM bank and
 // bus times need no separate probe — the resource-reservation timing
 // model bakes them into the fill-completion times the events and MSHRs
-// already carry.
+// already carry. The counters a retry cycle may touch are enumerated once,
+// in the retry counter table (bindRetryCounters).
 //
 // The result is byte-identical to stepping every cycle (the differential
 // tests pin this), at a small fraction of the host cost.
 
-// cacheRetryStats is the per-level slice of a retry cycle's footprint.
-type cacheRetryStats struct {
-	accesses, hits, misses, mshrStalls int64
+// retrySnap holds one value per retry counter table entry: counter values
+// in a snapshot, per-cycle changes in a delta. The first retryReplicable
+// entries are counters a steady retry cycle repeats; the rest are guards
+// whose movement vetoes amortizing the span.
+type retrySnap [retryReplicable + retryGuards]int64
+
+const retryReplicable, retryGuards = 20, 15
+
+// bindRetryCounters builds the retry counter table, c.retryCtrs. Every
+// owner resets its counters in place, so the pointers stay valid across
+// ResetStats. It panics if the table and retrySnap disagree.
+func (c *Core) bindRetryCounters() {
+	st, fe, sst, h := c.stats, c.fetch.Counters(), c.sst.Counters(), c.hier
+	l1i, l1d, l2, l3 := h.L1I().Counters(), h.L1D().Counters(), h.L2().Counters(), h.L3().Counters()
+	dr := h.DRAM().Counters()
+	replicable := []*int64{
+		&st.Cycles, &st.RunaheadCycles, &st.FullWindowStallCycles, &st.RobFullEvents,
+		&fe.FreezeCycles, &fe.ICacheStallCy,
+		&sst.Lookups, &sst.Hits, // a blocked PRE µop re-probes the SST every cycle
+		&l1i.Accesses, &l1i.Misses, &l1i.MSHRStalls,
+		&l1d.Accesses, &l1d.Misses, &l1d.MSHRStalls,
+		&l2.Accesses, &l2.Misses, &l2.MSHRStalls,
+		&l3.Accesses, &l3.Misses, &l3.MSHRStalls,
+	}
+	// Most guards imply c.progressed structurally and just double-check
+	// the enumeration of retry-path side effects; a cache hit on any retry
+	// path implies a success, i.e. progress. The prefetcher observations
+	// are a real veto: the L2 prefetcher trains before the L2/L3 MSHR
+	// rejection, so a blocked retry cycle can still mutate a prediction
+	// table and must be re-executed, never replayed as a bulk delta.
+	guards := []*int64{
+		&st.Decoded, &st.Dispatched, &st.Renamed, &st.Committed, &st.Completed, &st.PseudoRetired,
+		&fe.FetchedUops, &sst.Inserts, &dr.Reads, &dr.Writes, h.PFObserves(),
+		&l1i.Hits, &l1d.Hits, &l2.Hits, &l3.Hits,
+	}
+	if len(replicable) != retryReplicable || len(guards) != retryGuards || replicable[0] != &st.Cycles {
+		panic(fmt.Sprintf("core: retry counter table (%d+%d) does not match retrySnap", len(replicable), len(guards)))
+	}
+	copy(c.retryCtrs[:], replicable)
+	copy(c.retryCtrs[retryReplicable:], guards)
 }
 
-func cacheRetryOf(s cache.Stats) cacheRetryStats {
-	return cacheRetryStats{accesses: s.Accesses, hits: s.Hits, misses: s.Misses, mshrStalls: s.MSHRStalls}
-}
-
-// retrySnap captures, as absolute values, every counter a steady retry
-// cycle can legally touch — plus guard counters that must not move at all
-// (any movement there means the cycle did something non-replicable and
-// the span must not be amortized).
-type retrySnap struct {
-	// Bulk-replicable counters.
-	cycles, runaheadCycles, fullWindowStall, robFullEvents int64
-	freeze, icache                                         int64
-	sstLookups, sstHits                                    int64
-	l1i, l1d, l2, l3                                       cacheRetryStats
-
-	// Guard counters: a nonzero delta vetoes amortization. Most imply
-	// c.progressed structurally and just double-check the enumeration of
-	// retry-path side effects; pfObserves is a real veto — the L2
-	// prefetcher trains before the L2/L3 MSHR rejection, so a blocked
-	// retry cycle can still mutate a prediction table and must be
-	// re-executed, never replayed as a bulk delta.
-	decoded, dispatched, renamed, committed, completed, pseudoRetired int64
-	fetched, sstInserts, dramReads, dramWrites, pfObserves            int64
-}
-
-// captureRetry snapshots the retry-relevant counters.
+// captureRetry snapshots the retry counter table.
+//
+//sim:hotpath
 func (c *Core) captureRetry(s *retrySnap) {
-	st := c.stats
-	s.cycles = st.Cycles
-	s.runaheadCycles = st.RunaheadCycles
-	s.fullWindowStall = st.FullWindowStallCycles
-	s.robFullEvents = st.RobFullEvents
-	s.decoded = st.Decoded
-	s.dispatched = st.Dispatched
-	s.renamed = st.Renamed
-	s.committed = st.Committed
-	s.completed = st.Completed
-	s.pseudoRetired = st.PseudoRetired
-
-	fe := c.fetch.Stats()
-	s.freeze = fe.FreezeCycles
-	s.icache = fe.ICacheStallCy
-	s.fetched = fe.FetchedUops
-
-	ss := c.sst.Stats()
-	s.sstLookups = ss.Lookups
-	s.sstHits = ss.Hits
-	s.sstInserts = ss.Inserts
-
-	s.l1i = cacheRetryOf(c.hier.L1I().Stats())
-	s.l1d = cacheRetryOf(c.hier.L1D().Stats())
-	s.l2 = cacheRetryOf(c.hier.L2().Stats())
-	s.l3 = cacheRetryOf(c.hier.L3().Stats())
-
-	dr := c.hier.DRAM().Stats()
-	s.dramReads = dr.Reads
-	s.dramWrites = dr.Writes
-	s.pfObserves = c.hier.PFObserves()
+	for i, p := range &c.retryCtrs {
+		s[i] = *p
+	}
 }
 
 // sub returns the componentwise difference s - o.
 func (s *retrySnap) sub(o *retrySnap) retrySnap {
-	d := retrySnap{
-		cycles:          s.cycles - o.cycles,
-		runaheadCycles:  s.runaheadCycles - o.runaheadCycles,
-		fullWindowStall: s.fullWindowStall - o.fullWindowStall,
-		robFullEvents:   s.robFullEvents - o.robFullEvents,
-		freeze:          s.freeze - o.freeze,
-		icache:          s.icache - o.icache,
-		sstLookups:      s.sstLookups - o.sstLookups,
-		sstHits:         s.sstHits - o.sstHits,
-		decoded:         s.decoded - o.decoded,
-		dispatched:      s.dispatched - o.dispatched,
-		renamed:         s.renamed - o.renamed,
-		committed:       s.committed - o.committed,
-		completed:       s.completed - o.completed,
-		pseudoRetired:   s.pseudoRetired - o.pseudoRetired,
-		fetched:         s.fetched - o.fetched,
-		sstInserts:      s.sstInserts - o.sstInserts,
-		dramReads:       s.dramReads - o.dramReads,
-		dramWrites:      s.dramWrites - o.dramWrites,
-		pfObserves:      s.pfObserves - o.pfObserves,
+	var d retrySnap
+	for i := range s {
+		d[i] = s[i] - o[i]
 	}
-	subC := func(a, b cacheRetryStats) cacheRetryStats {
-		return cacheRetryStats{
-			accesses:   a.accesses - b.accesses,
-			hits:       a.hits - b.hits,
-			misses:     a.misses - b.misses,
-			mshrStalls: a.mshrStalls - b.mshrStalls,
-		}
-	}
-	d.l1i = subC(s.l1i, o.l1i)
-	d.l1d = subC(s.l1d, o.l1d)
-	d.l2 = subC(s.l2, o.l2)
-	d.l3 = subC(s.l3, o.l3)
 	return d
 }
 
 // replicable reports whether the delta describes a cycle safe to amortize:
-// exactly one cycle elapsed, no guard counter moved, and no cache hit was
-// recorded (a hit on any retry path implies a success, i.e. progress).
+// exactly one cycle elapsed and no guard counter moved.
 func (d *retrySnap) replicable() bool {
-	return d.cycles == 1 &&
-		d.decoded == 0 && d.dispatched == 0 && d.renamed == 0 &&
-		d.committed == 0 && d.completed == 0 && d.pseudoRetired == 0 &&
-		d.fetched == 0 && d.sstInserts == 0 &&
-		d.dramReads == 0 && d.dramWrites == 0 && d.pfObserves == 0 &&
-		d.l1i.hits == 0 && d.l1d.hits == 0 && d.l2.hits == 0 && d.l3.hits == 0
+	// Stats.Cycles leads the table.
+	return d[0] == 1 && [retryGuards]int64(d[retryReplicable:]) == [retryGuards]int64{}
 }
 
 // applyRetryDelta accounts n repetitions of the per-cycle delta d.
+//
+//sim:hotpath
 func (c *Core) applyRetryDelta(d *retrySnap, n int64) {
-	c.stats.Cycles += n * d.cycles
-	c.stats.RunaheadCycles += n * d.runaheadCycles
-	c.stats.FullWindowStallCycles += n * d.fullWindowStall
-	c.stats.RobFullEvents += n * d.robFullEvents
-	c.fetch.AddStats(frontend.Stats{FreezeCycles: n * d.freeze, ICacheStallCy: n * d.icache})
-	if d.sstLookups != 0 || d.sstHits != 0 {
-		c.sst.AddStats(runahead.SSTStats{Lookups: n * d.sstLookups, Hits: n * d.sstHits})
+	for i, p := range c.retryCtrs[:retryReplicable] {
+		*p += n * d[i]
 	}
-	addC := func(cc *cache.Cache, cs cacheRetryStats) {
-		if cs.accesses != 0 || cs.misses != 0 || cs.mshrStalls != 0 {
-			cc.AddStats(cache.Stats{
-				Accesses:   n * cs.accesses,
-				Misses:     n * cs.misses,
-				MSHRStalls: n * cs.mshrStalls,
-			})
+}
+
+// retryProof carries a steady retry span's proof across skipStep calls.
+type retryProof struct {
+	pre, post, prevDelta retrySnap
+	armed, prevValid     bool
+}
+
+// skipStep executes one cycle, then skips the inert or proven steady retry
+// span that follows. It returns the skipped span's start (it ends at
+// c.now) and whether it was a retry span.
+//
+//sim:hotpath
+func (c *Core) skipStep(p *retryProof) (from int64, retry bool) {
+	if p.armed {
+		c.captureRetry(&p.pre)
+	}
+	c.Step()
+	from = c.now
+	switch {
+	case c.DisableCycleSkip || c.progressed:
+		p.armed, p.prevValid = false, false
+	case !c.retryBlocked:
+		c.skipAhead()
+		p.armed, p.prevValid = false, false
+	case p.armed:
+		c.captureRetry(&p.post)
+		delta := p.post.sub(&p.pre)
+		if p.prevValid && delta == p.prevDelta && delta.replicable() {
+			retry = true
+			if c.retrySkip(&delta) {
+				// State at the wake-up cycle may differ; re-prove.
+				p.armed, p.prevValid = false, false
+			}
+			// A no-op retrySkip leaves the proven delta valid.
+		} else {
+			p.prevDelta, p.prevValid = delta, true
 		}
+	default:
+		p.armed = true // start measuring deltas next cycle
 	}
-	addC(c.hier.L1I(), d.l1i)
-	addC(c.hier.L1D(), d.l1d)
-	addC(c.hier.L2(), d.l2)
-	addC(c.hier.L3(), d.l3)
+	return from, retry
 }
 
 const horizon = int64(^uint64(0) >> 1)
@@ -237,6 +212,8 @@ func (c *Core) skipAhead() {
 // by every wake-up source (including occupied-MSHR releases and busy
 // divide units, which inert skips never need), applies the per-cycle
 // delta in bulk, and jumps. It reports whether any cycles were skipped.
+//
+//sim:hotpath
 func (c *Core) retrySkip(d *retrySnap) bool {
 	bound := c.wakeBound()
 	if t, ok := c.hier.NextMSHRRelease(c.now - 1); ok && t < bound {
@@ -253,7 +230,7 @@ func (c *Core) retrySkip(d *retrySnap) bool {
 	c.stats.SkippedAhead += n
 	if c.tel != nil {
 		c.tel.CycleSkip(c.now, n, "retry")
-		if d.fullWindowStall > 0 {
+		if c.stalledFW {
 			// The proven per-cycle delta stalls every cycle of the span.
 			c.tel.FullWindowStallN(c.now, n)
 		}

@@ -132,51 +132,18 @@ func lockstepCompare(t *testing.T, cfg Config, newGen func() trace.Generator) {
 		rec[ref.now-1] = cyc{ref.progressed, ref.retryBlocked}
 	}
 
+	// Run's own skip method, so each span it skips can be validated.
 	c, _ := New(cfg, newGen())
-	var pre, post, prevDelta retrySnap
-	fpArmed, prevValid := false, false
-	check := func(from, to int64, kind string) {
-		for t2 := from; t2 < to; t2++ {
-			if r, ok := rec[t2]; ok && (r.progressed || r.retry) {
-				t.Fatalf("%s-skipped span [%d,%d) covers active cycle %d (progressed=%v retry=%v): missing wake-up source",
-					kind, from, to, t2, r.progressed, r.retry)
-			}
-		}
-	}
-	// Mirror Run's skip loop so each span can be validated.
+	var p retryProof
 	for c.stats.Committed < commits {
-		if fpArmed {
-			c.captureRetry(&pre)
-		}
-		c.Step()
-		switch {
-		case c.progressed:
-			fpArmed, prevValid = false, false
-		case !c.retryBlocked:
-			from := c.now
-			c.skipAhead()
-			check(from, c.now, "inert")
-			fpArmed, prevValid = false, false
-		case fpArmed:
-			c.captureRetry(&post)
-			delta := post.sub(&pre)
-			if prevValid && delta == prevDelta && delta.replicable() {
-				from := c.now
-				if c.retrySkip(&delta) {
-					fpArmed, prevValid = false, false
-				}
-				// Retry-skipped cycles must all have been retry
-				// cycles in the reference (not progress).
-				for t2 := from; t2 < c.now; t2++ {
-					if r, ok := rec[t2]; ok && r.progressed {
-						t.Fatalf("retry-skipped span [%d,%d) covers progress cycle %d", from, c.now, t2)
-					}
-				}
-			} else {
-				prevDelta, prevValid = delta, true
+		from, retry := c.skipStep(&p)
+		for t2 := from; t2 < c.now; t2++ {
+			// An inert span may cover only idle reference cycles; a retry
+			// span may also cover retry cycles, but never progress.
+			if r := rec[t2]; r.progressed || (r.retry && !retry) {
+				t.Fatalf("skipped span [%d,%d) (retry=%v) covers active cycle %d (progressed=%v retry=%v): missing wake-up source",
+					from, c.now, retry, t2, r.progressed, r.retry)
 			}
-		default:
-			fpArmed = true
 		}
 	}
 	if c.stats.SkippedAhead == 0 {
@@ -233,5 +200,55 @@ func TestCycleSkipEngagement(t *testing.T) {
 	s := c.Stats()
 	if frac := float64(s.SkippedAhead) / float64(s.Cycles); frac < 0.5 {
 		t.Errorf("mcf/OoO skipped only %.0f%% of cycles (want >= 50%%): event-driven skipping regressed", 100*frac)
+	}
+}
+
+// TestRetryTableAliasesLiveCounters pins the retry counter table to the
+// counters the simulator reports. After a warmup and ResetStats, every
+// table entry must read exactly the matching public counter: an entry
+// bound to the wrong field, to a copy, or to a block that ResetStats
+// replaces instead of zeroing in place reads something else.
+func TestRetryTableAliasesLiveCounters(t *testing.T) {
+	w, err := workload.ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default(ModePRE)
+	v, err := prefetch.VariantByName("stride+bo") // trains, so PFObserves moves
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ApplyPrefetch(v)
+	c, _ := New(cfg, w.New())
+	c.Run(5_000)
+	c.ResetStats()
+	c.Run(20_000)
+
+	var got retrySnap
+	c.captureRetry(&got)
+	st, fe, sst, h := c.Stats(), c.FetchUnit().Stats(), c.sst.Stats(), c.Hierarchy()
+	l1i, l1d, l2, l3 := h.L1I().Stats(), h.L1D().Stats(), h.L2().Stats(), h.L3().Stats()
+	dr := h.DRAM().Stats()
+	want := retrySnap{
+		st.Cycles, st.RunaheadCycles, st.FullWindowStallCycles, st.RobFullEvents,
+		fe.FreezeCycles, fe.ICacheStallCy,
+		sst.Lookups, sst.Hits,
+		l1i.Accesses, l1i.Misses, l1i.MSHRStalls,
+		l1d.Accesses, l1d.Misses, l1d.MSHRStalls,
+		l2.Accesses, l2.Misses, l2.MSHRStalls,
+		l3.Accesses, l3.Misses, l3.MSHRStalls,
+
+		st.Decoded, st.Dispatched, st.Renamed, st.Committed, st.Completed, st.PseudoRetired,
+		fe.FetchedUops, sst.Inserts, dr.Reads, dr.Writes, *h.PFObserves(),
+		l1i.Hits, l1d.Hits, l2.Hits, l3.Hits,
+	}
+	if st.Cycles >= c.Now() || st.Committed == 0 || sst.Lookups == 0 || dr.Reads == 0 || *h.PFObserves() == 0 {
+		t.Fatalf("window did not exercise the counters: cycles %d of %d, committed %d, SST lookups %d, DRAM reads %d, PF observes %d",
+			st.Cycles, c.Now(), st.Committed, sst.Lookups, dr.Reads, *h.PFObserves())
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("retry table entry %d reads %d, the reported counter is %d", i, got[i], want[i])
+		}
 	}
 }

@@ -167,6 +167,9 @@ func (d *DRAM) Stats() Stats { return d.stats }
 // ResetStats zeroes the counters.
 func (d *DRAM) ResetStats() { d.stats = Stats{} }
 
+// Counters returns the live counters; ResetStats zeroes them in place.
+func (d *DRAM) Counters() *Stats { return &d.stats }
+
 // decode splits a byte address into bank index and row id, XOR-folding
 // row bits into the bank index (see New).
 func (d *DRAM) decode(addr uint64) (bankIdx int, row int64) {

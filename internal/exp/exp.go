@@ -127,8 +127,8 @@ func (m Matrix) Expand() (*Plan, error) {
 	if len(m.Modes) == 0 {
 		return nil, fmt.Errorf("exp: matrix has no modes")
 	}
-	if m.Options.MeasureUops <= 0 {
-		return nil, fmt.Errorf("exp: non-positive measurement window")
+	if err := m.Options.ValidateWindow(); err != nil {
+		return nil, err
 	}
 	points := m.Points
 	if len(points) == 0 {

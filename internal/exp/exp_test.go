@@ -379,6 +379,8 @@ func TestExpandErrors(t *testing.T) {
 		{"no workloads", Matrix{Modes: []core.Mode{core.ModeOoO}, Options: testOpt()}},
 		{"no modes", Matrix{Workloads: ws, Options: testOpt()}},
 		{"no window", Matrix{Workloads: ws, Modes: []core.Mode{core.ModeOoO}}},
+		{"negative warmup", Matrix{Workloads: ws, Modes: []core.Mode{core.ModeOoO},
+			Options: sim.Options{WarmupUops: -7, MeasureUops: 10_000}}},
 		{"duplicate point", Matrix{Workloads: ws, Modes: []core.Mode{core.ModeOoO},
 			Options: testOpt(), Points: []Point{{Name: "p"}, {Name: "p"}}}},
 		{"unnamed point", Matrix{Workloads: ws, Modes: []core.Mode{core.ModeOoO},

@@ -100,6 +100,9 @@ func (f *FetchUnit) Stats() Stats { return f.stats }
 // ResetStats zeroes the counters.
 func (f *FetchUnit) ResetStats() { f.stats = Stats{} }
 
+// Counters returns the live counters; ResetStats zeroes them in place.
+func (f *FetchUnit) Counters() *Stats { return &f.stats }
+
 // NextSeq returns the sequence number fetch will read next.
 func (f *FetchUnit) NextSeq() int64 { return f.nextSeq }
 
@@ -254,14 +257,6 @@ func (f *FetchUnit) SkipIdle(now, n int64) {
 	case f.lineReady > now:
 		f.stats.ICacheStallCy += n
 	}
-}
-
-// AddStats accumulates d into the counters — the cycle skipper's bulk
-// accounting hook for skipped steady retry cycles.
-func (f *FetchUnit) AddStats(d Stats) {
-	f.stats.FetchedUops += d.FetchedUops
-	f.stats.ICacheStallCy += d.ICacheStallCy
-	f.stats.FreezeCycles += d.FreezeCycles
 }
 
 // ReadyRun copies into dst the leading run of queued µops that have

@@ -69,7 +69,7 @@ func TestAnnotationRegistryParsesFromRepoSources(t *testing.T) {
 	}
 	t.Logf("annotation counts: %v", counts)
 	min := map[string]int{
-		annot.KindHotPath:   23, // core pipeline stages, runahead structures, mem, prefetchers
+		annot.KindHotPath:   27, // core pipeline stages, cycle skipper, runahead structures, mem, prefetchers
 		annot.KindPure:      6,  // skipper probes on cache/mem
 		annot.KindWallclock: 10, // meta.json timings, progress display, test deadlines
 	}

@@ -308,13 +308,10 @@ type Hierarchy struct {
 	// state, so the traced and untraced machines are byte-identical.
 	tel *telemetry.Recorder
 
-	// pfObserves counts every Observe fed to any prefetcher. It is
-	// engineering bookkeeping, not a reported statistic: the core's
-	// retry-span amortizer treats any training during a candidate span
-	// as hidden state change and refuses to fast-forward (the L2
-	// prefetcher trains *before* the L2/L3 MSHR rejection, so a blocked
-	// retry can still be a training event). Feedback-driven degree
-	// changes ride the same guard: they only ever happen on an Observe.
+	// pfObserves counts every Observe fed to any prefetcher: not a
+	// reported statistic, but the cycle skipper's guard against
+	// amortizing a span that trains a prediction table. Feedback-driven
+	// degree changes ride the same guard: they only happen on an Observe.
 	pfObserves int64
 }
 
@@ -569,10 +566,10 @@ func (h *Hierarchy) LoadPC(addr, pc uint64, now int64) (Result, bool) {
 	return res, ok
 }
 
-// PFObserves returns the total number of training events fed to the
+// PFObserves returns the live count of training events fed to the
 // hardware prefetchers — the cycle skipper's guard against amortizing a
-// span that is still training a prediction table.
-func (h *Hierarchy) PFObserves() int64 { return h.pfObserves }
+// span that is still training a prediction table. It is never reset.
+func (h *Hierarchy) PFObserves() *int64 { return &h.pfObserves }
 
 // Prefetch issues a runahead prefetch for the line containing addr. It
 // uses the same resources as a demand load but is excluded from demand

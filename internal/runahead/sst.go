@@ -86,15 +86,8 @@ func (s *SST) Stats() SSTStats { return s.stats }
 // ResetStats zeroes the counters.
 func (s *SST) ResetStats() { s.stats = SSTStats{} }
 
-// AddStats accumulates d into the counters — the cycle skipper's bulk
-// accounting hook for skipped steady retry cycles (which re-probe the
-// SST every cycle).
-func (s *SST) AddStats(d SSTStats) {
-	s.stats.Lookups += d.Lookups
-	s.stats.Hits += d.Hits
-	s.stats.Inserts += d.Inserts
-	s.stats.Evicts += d.Evicts
-}
+// Counters returns the live counters; ResetStats zeroes them in place.
+func (s *SST) Counters() *SSTStats { return &s.stats }
 
 // StorageBytes returns the SST's hardware cost with 4-byte tags
 // (Section 3.6: 256 entries -> 1 KB).

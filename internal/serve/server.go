@@ -290,6 +290,9 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	s.next++
 	j.id = "j" + strconv.Itoa(s.next)
+	// Read the status before the send: once queued, a worker may start
+	// the job before Submit returns.
+	st := j.status()
 	select {
 	case s.queue <- j:
 	default:
@@ -301,7 +304,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	s.order = append(s.order, j.id)
 	s.submitted++
 	s.mu.Unlock()
-	return j.status(), nil
+	return st, nil
 }
 
 // errQueueFull and errClosed distinguish an unavailable server (503) from

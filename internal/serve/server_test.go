@@ -849,3 +849,34 @@ func TestServerSpecReadDeadline(t *testing.T) {
 		t.Fatalf("job streamed for only %v; it must outlive the %v deadline", streamed, deadline)
 	}
 }
+
+// Submit answers with the job's state at enqueue time: "queued", even
+// when an idle worker picks the job up before Submit returns. Warm cache
+// hits make every job after the first finish almost at once, so workers
+// race each submission.
+func TestServerSubmitAnswersQueued(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	c, err := cache.New(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 2000
+	srv := New(Config{SimWorkers: 1, JobWorkers: 4, QueueDepth: jobs, Cache: c})
+	defer srv.Close()
+	spec := JobSpec{Workloads: []string{"mcf"}, Modes: []string{"OoO"}, MeasureUops: 1_000}
+	late := 0
+	for i := 0; i < jobs; i++ {
+		st, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateQueued {
+			late++
+		}
+	}
+	if late > 0 {
+		t.Errorf("%d of %d submissions answered a state other than %q", late, jobs, StateQueued)
+	}
+}

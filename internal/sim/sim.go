@@ -47,6 +47,18 @@ func DefaultOptions() Options {
 	return Options{WarmupUops: 50_000, MeasureUops: 300_000}
 }
 
+// ValidateWindow rejects a window Run cannot simulate: a non-positive
+// measurement window or a negative warmup.
+func (o Options) ValidateWindow() error {
+	if o.MeasureUops <= 0 {
+		return fmt.Errorf("sim: non-positive measurement window")
+	}
+	if o.WarmupUops < 0 {
+		return fmt.Errorf("sim: negative warmup window (%d µops)", o.WarmupUops)
+	}
+	return nil
+}
+
 // Result is the flattened outcome of one run.
 type Result struct {
 	Workload string
@@ -115,8 +127,8 @@ func (r Result) Speedup(base Result) float64 {
 
 // Run simulates one workload under one mode.
 func Run(w workload.Workload, mode core.Mode, opt Options) (Result, error) {
-	if opt.MeasureUops <= 0 {
-		return Result{}, fmt.Errorf("sim: non-positive measurement window")
+	if err := opt.ValidateWindow(); err != nil {
+		return Result{}, err
 	}
 	cfg := core.Default(mode)
 	if opt.Configure != nil {

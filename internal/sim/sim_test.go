@@ -36,8 +36,10 @@ func TestRunProducesSaneResult(t *testing.T) {
 
 func TestRunRejectsEmptyWindow(t *testing.T) {
 	w, _ := workload.ByName("libquantum")
-	if _, err := Run(w, core.ModeOoO, Options{}); err == nil {
-		t.Fatal("zero-length window accepted")
+	for _, opt := range []Options{{}, {WarmupUops: -7, MeasureUops: 1_000}} {
+		if _, err := Run(w, core.ModeOoO, opt); err == nil {
+			t.Errorf("window %d+%d accepted", opt.WarmupUops, opt.MeasureUops)
+		}
 	}
 }
 
