@@ -11,17 +11,19 @@
 // "saving_pct_<mode>" for Figure 3, experiment-specific units for the
 // in-text measurements E4-E9), except the A1/A2 ablations, which run as a
 // single exp-orchestrated sweep per benchmark and emit one suffixed
-// metric per size ("speedup_PRE_<entries>").
+// metric per size ("speedup_PRE_<entries>"). The Fig2/Fig3/E6/A1/A2
+// benchmarks run their catalogue experiments (README's experiment index)
+// narrowed to their workloads.
 package presim_test
 
 import (
-	"fmt"
 	"testing"
 
 	presim "repro"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/exp"
 	"repro/internal/rename"
 	"repro/internal/runahead"
 	"repro/internal/sim"
@@ -30,8 +32,8 @@ import (
 	"repro/internal/workload"
 )
 
-// benchOpt keeps per-iteration cost moderate; the cmd/figures harness uses
-// larger windows for the recorded EXPERIMENTS.md numbers.
+// benchOpt keeps per-iteration cost moderate; cmd/figures uses larger
+// windows by default.
 func benchOpt() presim.Options {
 	opt := presim.DefaultOptions()
 	opt.WarmupUops = 20_000
@@ -68,20 +70,18 @@ func BenchmarkTable1Config(b *testing.B) {
 	b.ReportMetric(float64(runahead.NewEMQ(768).StorageBytes()), "EMQ_bytes")
 }
 
-// runCellMatrix expands and runs a one-workload experiment over the given
-// modes — the exp-orchestrated core of the figure benchmarks.
-func runCellMatrix(b *testing.B, w presim.Workload, modes []presim.Mode) *presim.ExperimentSet {
+// runCatalog runs the catalogue experiment id narrowed to the named
+// workloads, at the benchmark window.
+func runCatalog(b *testing.B, id string, workloads ...string) *presim.ExperimentSet {
 	b.Helper()
-	m := presim.Experiment{
-		Workloads: []presim.Workload{w},
-		Modes:     modes,
-		Options:   benchOpt(),
-	}
-	plan, err := m.Expand()
+	e, err := presim.CatalogEntry(id)
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := plan.Run(0)
+	spec := e.Spec
+	spec.Workloads = workloads
+	spec.WarmupUops, spec.MeasureUops = benchOpt().WarmupUops, benchOpt().MeasureUops
+	set, err := spec.Run(exp.RunOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func BenchmarkFig2(b *testing.B) {
 		b.Run(w.Name, func(b *testing.B) {
 			var set *presim.ExperimentSet
 			for i := 0; i < b.N; i++ {
-				set = runCellMatrix(b, w, modes)
+				set = runCatalog(b, "figures", w.Name)
 			}
 			for mi, m := range modes {
 				if m == presim.ModeOoO {
@@ -120,7 +120,7 @@ func BenchmarkFig3(b *testing.B) {
 		b.Run(w.Name, func(b *testing.B) {
 			var set *presim.ExperimentSet
 			for i := 0; i < b.N; i++ {
-				set = runCellMatrix(b, w, modes)
+				set = runCatalog(b, "figures", w.Name)
 			}
 			base, _ := set.Baseline(0, 0)
 			for mi, m := range modes {
@@ -181,27 +181,13 @@ func BenchmarkE6FreeExit(b *testing.B) {
 	for _, name := range []string{"libquantum", "milc", "omnetpp"} {
 		name := name
 		b.Run(name, func(b *testing.B) {
-			w, _ := presim.WorkloadByName(name)
-			freeOpt := benchOpt()
-			freeOpt.Configure = func(c *core.Config) { c.FreeExit = true }
-			var base, ra, raFree presim.Result
+			var set *presim.ExperimentSet
 			for i := 0; i < b.N; i++ {
-				var err error
-				base, err = presim.Run(w, presim.ModeOoO, benchOpt())
-				if err != nil {
-					b.Fatal(err)
-				}
-				ra, err = presim.Run(w, presim.ModeRA, benchOpt())
-				if err != nil {
-					b.Fatal(err)
-				}
-				raFree, err = presim.Run(w, presim.ModeRA, freeOpt)
-				if err != nil {
-					b.Fatal(err)
-				}
+				set = runCatalog(b, "e6_free_exit", name)
 			}
-			b.ReportMetric(ra.Speedup(base), "speedup_RA")
-			b.ReportMetric(raFree.Speedup(base), "speedup_RA_free_exit")
+			// Points flush-exit, free-exit; modes OoO, RA.
+			b.ReportMetric(set.Speedup(0, 0, 1), "speedup_RA")
+			b.ReportMetric(set.Speedup(1, 0, 1), "speedup_RA_free_exit")
 		})
 	}
 }
@@ -262,66 +248,25 @@ func BenchmarkE9InvocationRate(b *testing.B) {
 	b.ReportMetric(emqRatio, "PREEMQ_vs_RA_entries")
 }
 
-// runAblation sweeps one structure-size knob as an exp matrix: the OoO
-// baseline is simulated once and shared across every size point.
-func runAblation(b *testing.B, name string, w presim.Workload, mode presim.Mode,
-	sizes []int, apply func(*core.Config, int)) *presim.ExperimentSet {
-	b.Helper()
-	points := make([]presim.ExperimentPoint, len(sizes))
-	for i, size := range sizes {
-		size := size
-		points[i] = presim.ExperimentPoint{
-			Name:  fmt.Sprintf("entries_%d", size),
-			Apply: func(c *core.Config) { apply(c, size) },
-		}
+// runAblation runs a catalogue size sweep on milc (the OoO baseline is
+// simulated once and shared across every size point) and reports the
+// speedup at each size as metric_<size>.
+func runAblation(b *testing.B, id, metric string) {
+	var set *presim.ExperimentSet
+	for i := 0; i < b.N; i++ {
+		set = runCatalog(b, id, "milc")
 	}
-	m := presim.Experiment{
-		Name:        name,
-		Workloads:   []presim.Workload{w},
-		Modes:       []presim.Mode{mode},
-		Points:      points,
-		Options:     benchOpt(),
-		AddBaseline: true,
+	for pi, size := range set.Plan().Points() {
+		b.ReportMetric(set.Speedup(pi, 0, 0), metric+"_"+size)
 	}
-	plan, err := m.Expand()
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := plan.Run(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return set
 }
 
 // BenchmarkAblationSSTSize sweeps the SST capacity (A1; paper: 256 entries
 // hold the slices with almost no misses).
-func BenchmarkAblationSSTSize(b *testing.B) {
-	w, _ := presim.WorkloadByName("milc")
-	sizes := []int{16, 64, 256, 1024}
-	var set *presim.ExperimentSet
-	for i := 0; i < b.N; i++ {
-		set = runAblation(b, "a1_sst", w, presim.ModePRE, sizes,
-			func(c *core.Config, v int) { c.SSTSize = v })
-	}
-	for pi, size := range sizes {
-		b.ReportMetric(set.Speedup(pi, 0, 0), fmt.Sprintf("speedup_PRE_%d", size))
-	}
-}
+func BenchmarkAblationSSTSize(b *testing.B) { runAblation(b, "a1_sst", "speedup_PRE") }
 
 // BenchmarkAblationEMQSize sweeps the EMQ capacity (A2; paper: 768 = 4x ROB).
-func BenchmarkAblationEMQSize(b *testing.B) {
-	w, _ := presim.WorkloadByName("milc")
-	sizes := []int{192, 768, 1536}
-	var set *presim.ExperimentSet
-	for i := 0; i < b.N; i++ {
-		set = runAblation(b, "a2_emq", w, presim.ModePREEMQ, sizes,
-			func(c *core.Config, v int) { c.EMQSize = v })
-	}
-	for pi, size := range sizes {
-		b.ReportMetric(set.Speedup(pi, 0, 0), fmt.Sprintf("speedup_PREEMQ_%d", size))
-	}
-}
+func BenchmarkAblationEMQSize(b *testing.B) { runAblation(b, "a2_emq", "speedup_PREEMQ") }
 
 // --- engineering micro-benchmarks -----------------------------------------
 

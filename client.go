@@ -35,6 +35,17 @@ type (
 // NewClient returns a Client for the simulation server at baseURL.
 func NewClient(baseURL string) *Client { return serve.NewClient(baseURL) }
 
+// CatalogExperiment is one published experiment of the paper's
+// evaluation, declared as a JobSpec without a window (README's
+// experiment index lists them).
+type CatalogExperiment = serve.Experiment
+
+// Catalog returns every published experiment in evaluation order.
+func Catalog() []CatalogExperiment { return serve.Catalog() }
+
+// CatalogEntry returns the published experiment with the given ID.
+func CatalogEntry(id string) (CatalogExperiment, error) { return serve.CatalogEntry(id) }
+
 // JobKnobNames lists the configuration knobs a JobSpec may set, sorted.
 func JobKnobNames() []string { return serve.KnobNames() }
 

@@ -1,6 +1,7 @@
 // Command figures regenerates every table and figure of the paper's
-// evaluation, plus the in-text measurements, from the simulator. See
-// DESIGN.md's experiment index (E1-E10) for the mapping.
+// evaluation, plus the in-text measurements, from the simulator. README's
+// experiment index maps each artifact to its paper section and to the
+// catalogue experiment (presim.Catalog) whose job spec it runs.
 //
 // Usage:
 //
@@ -19,40 +20,101 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	presim "repro"
 	"repro/internal/core"
 	"repro/internal/exp"
 )
 
+// artifacts are the names -only accepts, in output order.
+var artifacts = []string{"table1", "fig2", "fig3", "e4", "e5", "e6", "e7", "e8", "e9", "pf", "synth"}
+
+type options struct {
+	only, csvDir, jsonDir string
+	warmup, measure       int64
+	workers, seeds        int
+	progress              bool
+}
+
+// parseFlags parses and validates args; a usage error has already been
+// reported on stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.only, "only", "", "emit a single artifact: "+strings.Join(artifacts, ", "))
+	fs.StringVar(&o.csvDir, "csv", "", "directory to also write CSV tables into")
+	fs.StringVar(&o.jsonDir, "json", "", "directory to also write the full results JSON into")
+	fs.Int64Var(&o.warmup, "warmup", 50_000, "warmup µops per run")
+	fs.Int64Var(&o.measure, "n", 300_000, "measured µops per run")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool width (0 = one per CPU)")
+	fs.IntVar(&o.seeds, "seeds", 16, "population size for the synth artifact")
+	fs.BoolVar(&o.progress, "progress", false, "print live per-run progress to stderr as each sweep advances")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	switch {
+	case o.only != "" && !slices.Contains(artifacts, o.only):
+		err = fmt.Errorf("-only %q is not an artifact (valid: %s)", o.only, strings.Join(artifacts, ", "))
+	case o.measure <= 0:
+		err = fmt.Errorf("-n must be positive (got %d)", o.measure)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
+	}
+	return o, err
+}
+
 func main() {
-	only := flag.String("only", "", "emit a single artifact: table1, fig2, fig3, e4, e5, e6, e7, e8, e9, pf, synth")
-	csvDir := flag.String("csv", "", "directory to also write CSV tables into")
-	jsonDir := flag.String("json", "", "directory to also write the full results JSON into")
-	warmup := flag.Int64("warmup", 50_000, "warmup µops per run")
-	measure := flag.Int64("n", 300_000, "measured µops per run")
-	workers := flag.Int("workers", 0, "worker pool width (0 = one per CPU)")
-	seeds := flag.Int("seeds", 16, "population size for the synth artifact")
-	progress := flag.Bool("progress", false, "print live per-run progress to stderr as each sweep advances")
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
-	opt := presim.DefaultOptions()
-	opt.WarmupUops = *warmup
-	opt.MeasureUops = *measure
-
-	ro := exp.RunOptions{Workers: *workers}
-	if *progress {
+	ro := exp.RunOptions{Workers: o.workers}
+	if o.progress {
 		ro.Progress = func(ev exp.ProgressEvent) {
 			fmt.Fprintf(os.Stderr, "figures: %d/%d done  %s/%s  %.2fs (elapsed %.1fs)\n",
 				ev.Done, ev.Total, ev.Workload, ev.Mode, ev.Seconds, ev.ElapsedSeconds)
 		}
 	}
+	// run runs one catalogue experiment at the -n/-warmup window (and a
+	// -seeds population), writing its results document under -json.
+	run := func(id string) *exp.Set {
+		e, err := presim.CatalogEntry(id)
+		if err != nil {
+			fatal(err)
+		}
+		spec := e.Spec
+		spec.WarmupUops, spec.MeasureUops = o.warmup, o.measure
+		if spec.Population != nil {
+			spec.Population.Count = o.seeds
+		}
+		set, err := spec.Run(ro)
+		if err != nil {
+			fatal(err)
+		}
+		if o.jsonDir != "" {
+			if err := set.WriteFile(o.jsonDir, id); err != nil {
+				fatal(err)
+			}
+		}
+		return set
+	}
 
-	want := func(name string) bool { return *only == "" || *only == name }
+	want := func(name string) bool { return o.only == "" || o.only == name }
 
 	if want("table1") {
 		printTable1()
@@ -60,39 +122,18 @@ func main() {
 
 	var results [][]presim.Result
 	modes := presim.Modes()
-	needMatrix := want("fig2") || want("fig3") || want("e4") || want("e5") ||
-		want("e7") || want("e9")
-	if needMatrix {
-		m := exp.Matrix{
-			Name:      "figures",
-			Workloads: presim.Workloads(),
-			Modes:     modes,
-			Options:   opt,
-		}
-		plan, err := m.Expand()
-		if err != nil {
-			fatal(err)
-		}
-		set, err := plan.RunOpts(ro)
-		if err != nil {
-			fatal(err)
-		}
-		results = set.Grid(0)
-		if *jsonDir != "" {
-			if err := set.WriteFile(*jsonDir, "figures"); err != nil {
-				fatal(err)
-			}
-		}
+	if want("fig2") || want("fig3") || want("e4") || want("e5") || want("e7") || want("e9") {
+		results = run("figures").Grid(0)
 	}
 
 	emit := func(name string, t *presim.Table) {
 		fmt.Println()
 		t.Write(os.Stdout)
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		if o.csvDir != "" {
+			if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
 				fatal(err)
 			}
-			f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
+			f, err := os.Create(filepath.Join(o.csvDir, name+".csv"))
 			if err != nil {
 				fatal(err)
 			}
@@ -114,11 +155,7 @@ func main() {
 		emit("e5_intervals", e5Table(results, modes))
 	}
 	if want("e6") {
-		t, err := e6Table(opt, ro, *jsonDir)
-		if err != nil {
-			fatal(err)
-		}
-		emit("e6_free_exit", t)
+		emit("e6_free_exit", e6Table(run("e6_free_exit")))
 	}
 	if want("e7") {
 		emit("e7_free_resources", e7Table(results, modes))
@@ -130,97 +167,33 @@ func main() {
 		emit("e9_invocations", e9Table(results, modes))
 	}
 	if want("pf") {
-		grid, detail, interference, err := pfTables(opt, ro, *jsonDir)
-		if err != nil {
-			fatal(err)
+		set := run("pf_grid")
+		points := set.Plan().Points()
+		summary := make([][]float64, len(points))
+		for pi := range points {
+			summary[pi] = set.GeoMeanSpeedups(pi)
 		}
-		emit("pf_grid", grid)
-		emit("pf_detail", detail)
-		emit("pf_interference", interference)
+		emit("pf_grid", presim.PFGridTable(points, modes, summary))
+		// Diagnostics for the most-combined variant (the last point: the
+		// full adaptive L1I+throttle+filter stack), plus the interference
+		// view of the same point (filtered-RA is only non-zero with the
+		// filter on).
+		last := set.Grid(len(points) - 1)
+		emit("pf_detail", presim.PrefetchDetailTable(last, modes))
+		emit("pf_interference", presim.PFInterferenceTable(last, modes))
 	}
 	if want("synth") {
-		t, err := synthTable(opt, ro, *jsonDir, *seeds)
-		if err != nil {
-			fatal(err)
+		set := run("synth_population")
+		points := set.Plan().Points()
+		stats := make([][]presim.PopulationStat, len(points))
+		for pi := range points {
+			stats[pi] = set.PopulationStats(pi)
 		}
-		emit("synth_population", t)
+		emit("synth_population", presim.PopulationGridTable(points, stats))
 	}
-	if *only == "" {
+	if o.only == "" {
 		emit("runahead_detail", presim.RunaheadDetailTable(results, modes))
 	}
-}
-
-// synthTable runs the population sweep: every mechanism over a seeded
-// scenario population, rendered as the per-seed speedup-distribution grid
-// (min / median / geomean, worst seed). The -json artifact records each
-// scenario's sampled parameters for artifact-only reproduction.
-func synthTable(opt presim.Options, ro exp.RunOptions, jsonDir string, seeds int) (*presim.Table, error) {
-	m := exp.Matrix{
-		Name:  "synth_population",
-		Modes: presim.Modes(),
-		Population: &exp.Population{
-			Space: presim.DefaultSynthSpace(), Count: seeds,
-		},
-		Options: opt,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		return nil, err
-	}
-	set, err := plan.RunOpts(ro)
-	if err != nil {
-		return nil, err
-	}
-	if jsonDir != "" {
-		if err := set.WriteFile(jsonDir, "synth_population"); err != nil {
-			return nil, err
-		}
-	}
-	points := plan.Points()
-	stats := make([][]presim.PopulationStat, len(points))
-	for pi := range points {
-		stats[pi] = set.PopulationStats(pi)
-	}
-	return presim.PopulationGridTable(points, stats), nil
-}
-
-// pfTables runs the PF-augmented grid (every mechanism x every hardware-
-// prefetcher variant) and renders the speedup summary plus the combined
-// variant's per-workload prefetcher diagnostics and the runahead/HW
-// interference view of the filtered variant.
-func pfTables(opt presim.Options, ro exp.RunOptions, jsonDir string) (*presim.Table, *presim.Table, *presim.Table, error) {
-	m := exp.Matrix{
-		Name:      "pf_grid",
-		Workloads: presim.Workloads(),
-		Modes:     presim.Modes(),
-		Points:    presim.PrefetchPoints(),
-		Options:   opt,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	set, err := plan.RunOpts(ro)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if jsonDir != "" {
-		if err := set.WriteFile(jsonDir, "pf_grid"); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	points := plan.Points()
-	summary := make([][]float64, len(points))
-	for pi := range points {
-		summary[pi] = set.GeoMeanSpeedups(pi)
-	}
-	grid := presim.PFGridTable(points, presim.Modes(), summary)
-	// Diagnostics for the most-combined variant (the last point: the full
-	// adaptive L1I+throttle+filter stack), plus the interference view of
-	// the same point (filtered-RA is only non-zero with the filter on).
-	detail := presim.PrefetchDetailTable(set.Grid(len(points)-1), presim.Modes())
-	interference := presim.PFInterferenceTable(set.Grid(len(points)-1), presim.Modes())
-	return grid, detail, interference, nil
 }
 
 // printTable1 dumps the baseline configuration (paper Table 1).
@@ -286,47 +259,19 @@ func e5Table(results [][]presim.Result, modes []presim.Mode) *presim.Table {
 }
 
 // e6Table: RA with free (snapshot) exit versus plain RA — the paper's
-// "20.6% if the window were not discarded" potential. Expressed as a
-// two-point matrix; the orchestrator shares one OoO baseline between the
-// points (FreeExit is an RA-only knob) and runs the rest in parallel.
-func e6Table(opt presim.Options, ro exp.RunOptions, jsonDir string) (*presim.Table, error) {
-	m := exp.Matrix{
-		Name:      "e6_free_exit",
-		Workloads: presim.Workloads(),
-		Modes:     []presim.Mode{core.ModeOoO, core.ModeRA},
-		Points: []exp.Point{
-			{Name: "flush-exit"},
-			{Name: "free-exit", Apply: func(c *core.Config) {
-				if c.Mode == core.ModeRA {
-					c.FreeExit = true
-				}
-			}},
-		},
-		Options: opt,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		return nil, err
-	}
-	set, err := plan.RunOpts(ro)
-	if err != nil {
-		return nil, err
-	}
-	if jsonDir != "" {
-		if err := set.WriteFile(jsonDir, "e6_free_exit"); err != nil {
-			return nil, err
-		}
-	}
+// "20.6% if the window were not discarded" potential. The free-exit
+// point's OoO cells share the flush-exit point's baseline runs.
+func e6Table(set *exp.Set) *presim.Table {
 	t := newTable("E6: RA speedup with zero-cost exit (paper: 14.5% -> 20.6% potential)",
 		"benchmark", "OoO IPC", "RA", "RA free-exit")
-	for wi, w := range presim.Workloads() {
+	for wi, w := range set.Plan().Workloads() {
 		base, _ := set.Baseline(0, wi)
 		t.AddRow(w.Name,
 			fmt.Sprintf("%.3f", base.IPC),
 			fmt.Sprintf("%.3f", set.Speedup(0, wi, 1)),
 			fmt.Sprintf("%.3f", set.Speedup(1, wi, 1)))
 	}
-	return t, nil
+	return t
 }
 
 // e7Table: free resources at runahead entry (paper Section 3.4: 37% IQ,

@@ -1,4 +1,5 @@
-// Command sweep runs the design-space ablations called out in DESIGN.md:
+// Command sweep runs the design-space ablations of README's experiment
+// index:
 //
 //	sweep -sst           # A1: SST size sweep (paper: 256 entries suffice)
 //	sweep -emq           # A2: EMQ size sweep (paper picks 768 = 4x ROB)
@@ -23,18 +24,22 @@
 // scenario's sampled parameters, so any seed is reproducible from the
 // artifact alone.
 //
-// The command is a thin frontend over the parallel experiment
-// orchestrator (internal/exp): each sweep becomes one exp.Matrix whose
-// points are the parameter values, the orchestrator dedupes the shared
-// OoO baselines and shards the unique runs across -workers cores, and
-// -json captures the full schema-versioned results document. -workers 1
-// runs one simulation at a time; output is identical at any width.
+// Each sweep is an entry of the experiment catalogue (presim.Catalog):
+// the command sets its window, then runs the entry's job spec on the
+// parallel experiment orchestrator (internal/exp), or submits the same
+// spec to a simulation server with -server. The orchestrator dedupes the
+// shared OoO baselines and shards the unique runs across -workers cores,
+// and -json captures the full schema-versioned results document.
+// -workers 1 runs one simulation at a time; output is identical at any
+// width.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,74 +47,114 @@ import (
 	"time"
 
 	presim "repro"
-	"repro/internal/core"
 	"repro/internal/exp"
 )
 
-func main() {
-	doSST := flag.Bool("sst", false, "sweep SST size (PRE)")
-	doEMQ := flag.Bool("emq", false, "sweep EMQ size (PRE+EMQ)")
-	doRAT := flag.Bool("rathreshold", false, "sweep RA short-interval filter")
-	doMSHR := flag.Bool("mshr", false, "sweep L1D MSHR count (PRE)")
-	doPF := flag.Bool("pf", false, "run the mechanism x hardware-prefetcher grid")
-	doSynth := flag.Bool("synth", false, "run a seeded scenario-population sweep")
-	seeds := flag.Int("seeds", 20, "population size for -synth")
-	synthSeed := flag.Uint64("synthseed", 0, "population base seed for -synth (0 = date-pinned default)")
-	warmup := flag.Int64("warmup", 50_000, "warmup µops per run")
-	measure := flag.Int64("n", 200_000, "measured µops per run")
-	workers := flag.Int("workers", 0, "worker pool width (0 = one per CPU)")
-	jsonDir := flag.String("json", "", "directory to write schema-versioned results JSON into")
-	timing := flag.Bool("time", false, "report wall-clock time per sweep")
-	progress := flag.Bool("progress", false, "print live per-run progress to stderr as the sweep advances")
-	server := flag.String("server", "", "submit the sweep to a running simulation server (cmd/simd URL) instead of simulating locally; the server's result cache makes repeated sweeps cheap. Remote sweeps report cache/timing stats and write the results JSON via -json; summary tables are a local-run feature")
-	tracefile := flag.String("tracefile", "", "write a merged Chrome-trace (Perfetto) sidecar of the sweep's runs to this file; requires exactly one sweep selection")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile at sweep end to this file")
-	flag.Parse()
+// sweeps maps each sweep flag to its catalogue experiment and the
+// renderer of its stdout summary, in run order.
+var sweeps = []struct {
+	flag, id, usage string
+	render          func(*exp.Set)
+}{
+	{"sst", "a1_sst", "sweep SST size (PRE)", printSweep},
+	{"emq", "a2_emq", "sweep EMQ size (PRE+EMQ)", printSweep},
+	{"rathreshold", "a3_rathreshold", "sweep RA short-interval filter", printSweep},
+	{"mshr", "mshr", "sweep L1D MSHR count (PRE)", printSweep},
+	{"pf", "pf_grid", "run the mechanism x hardware-prefetcher grid", printPFGrid},
+	{"synth", "synth_population", "run a seeded scenario-population sweep", printPopulation},
+}
 
-	if *server != "" && (*tracefile != "" || *workers != 0) {
-		fmt.Fprintln(os.Stderr, "sweep: -server runs on the remote machine; -tracefile and -workers are local-run flags")
-		os.Exit(2)
+type options struct {
+	selected  []int // indices into sweeps
+	seeds     int
+	synthSeed uint64
+	warmup    int64
+	measure   int64
+	workers   int
+	jsonDir   string
+	timing    bool
+	progress  bool
+	server    string // simulation-server URL; "" = run locally
+	tracefile string
+	cpuprof   string
+	memprof   string
+}
+
+// parseFlags parses and validates args; a usage error has already been
+// reported on stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	chosen := make([]*bool, len(sweeps))
+	for i, s := range sweeps {
+		chosen[i] = fs.Bool(s.flag, false, s.usage)
 	}
-
+	fs.IntVar(&o.seeds, "seeds", 20, "population size for -synth")
+	fs.Uint64Var(&o.synthSeed, "synthseed", 0, "population base seed for -synth (0 = date-pinned default)")
+	fs.Int64Var(&o.warmup, "warmup", 50_000, "warmup µops per run")
+	fs.Int64Var(&o.measure, "n", 200_000, "measured µops per run")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool width (0 = one per CPU)")
+	fs.StringVar(&o.jsonDir, "json", "", "directory to write schema-versioned results JSON into")
+	fs.BoolVar(&o.timing, "time", false, "report wall-clock time per sweep")
+	fs.BoolVar(&o.progress, "progress", false, "print live per-run progress to stderr as the sweep advances")
+	fs.StringVar(&o.server, "server", "", "submit the sweep to a running simulation server (cmd/simd URL) instead of simulating locally; the server's result cache makes repeated sweeps cheap. Remote sweeps report cache/timing stats and write the results JSON via -json; summary tables are a local-run feature")
+	fs.StringVar(&o.tracefile, "tracefile", "", "write a merged Chrome-trace (Perfetto) sidecar of the sweep's runs to this file; requires exactly one sweep selection")
+	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+	fs.StringVar(&o.memprof, "memprofile", "", "write a pprof heap profile at sweep end to this file")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	synth := false
+	for i, s := range sweeps {
+		if *chosen[i] {
+			o.selected = append(o.selected, i)
+			synth = synth || s.flag == "synth"
+		}
+	}
+	var err error
+	usage := func(format string, a ...any) {
+		if err == nil {
+			err = fmt.Errorf(format, a...)
+			fmt.Fprintln(stderr, "sweep:", err)
+		}
+	}
+	switch {
+	case o.server != "" && (o.tracefile != "" || o.workers != 0):
+		usage("-server runs on the remote machine; -tracefile and -workers are local-run flags")
 	// -tracefile writes one sidecar file per invocation; two selected
-	// sweeps would silently overwrite each other's trace, so fail fast.
-	if *tracefile != "" {
-		nSweeps := 0
-		for _, b := range []bool{*doSST, *doEMQ, *doRAT, *doMSHR, *doPF, *doSynth} {
-			if b {
-				nSweeps++
-			}
-		}
-		if nSweeps != 1 {
-			fmt.Fprintln(os.Stderr, "sweep: -tracefile records exactly one sweep; select exactly one of -sst, -emq, -rathreshold, -mshr, -pf, -synth")
-			os.Exit(2)
-		}
-	}
-
+	// sweeps would silently overwrite each other's trace.
+	case o.tracefile != "" && len(o.selected) != 1:
+		usage("-tracefile records exactly one sweep; select exactly one of -sst, -emq, -rathreshold, -mshr, -pf, -synth")
 	// A zero or negative window is always an invocation mistake: -n 0
 	// would make every run fail deep inside the orchestrator with a
 	// confusing per-cell error, and -warmup 0 would report cold-start
 	// numbers (empty caches, untrained predictor) as if they were steady
 	// state.
-	if *measure <= 0 {
-		fmt.Fprintf(os.Stderr, "sweep: -n must be positive (got %d)\n", *measure)
-		os.Exit(2)
+	case o.measure <= 0:
+		usage("-n must be positive (got %d)", o.measure)
+	case o.warmup <= 0:
+		usage("-warmup must be positive (got %d)", o.warmup)
+	case len(o.selected) == 0:
+		usage("pass at least one of -sst, -emq, -rathreshold, -mshr, -pf, -synth")
 	}
-	if *warmup <= 0 {
-		fmt.Fprintf(os.Stderr, "sweep: -warmup must be positive (got %d)\n", *warmup)
-		os.Exit(2)
-	}
-
 	// Population knobs only act under -synth; silently ignoring an
 	// explicit -seeds/-synthseed would drop the requested population run.
-	if !*doSynth {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seeds" || f.Name == "synthseed" {
-				fmt.Fprintf(os.Stderr, "sweep: -%s only applies to -synth (add -synth or drop the flag)\n", f.Name)
-				os.Exit(2)
-			}
-		})
+	fs.Visit(func(f *flag.Flag) {
+		if !synth && (f.Name == "seeds" || f.Name == "synthseed") {
+			usage("-%s only applies to -synth (add -synth or drop the flag)", f.Name)
+		}
+	})
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
 	}
 
 	// Profiling hooks (after flag validation, so a usage exit never
@@ -119,8 +164,8 @@ func main() {
 	//   sweep -sst -cpuprofile cpu.out && go tool pprof cpu.out
 	// A mid-run fatal() stops the CPU profile before exiting; the heap
 	// profile is written only on a successful run.
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprof != "" {
+		f, err := os.Create(o.cpuprof)
 		if err != nil {
 			fatal(err)
 		}
@@ -130,9 +175,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if o.memprof != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprof)
 			if err != nil {
 				fatal(err)
 			}
@@ -144,136 +189,141 @@ func main() {
 		}()
 	}
 
-	opt := presim.DefaultOptions()
-	opt.WarmupUops = *warmup
-	opt.MeasureUops = *measure
-
-	s := sweeper{opt: opt, workers: *workers, jsonDir: *jsonDir,
-		timing: *timing, progress: *progress, tracefile: *tracefile,
-		server: *server}
-
-	any := false
-	if *doSST {
-		any = true
-		s.sweep("a1_sst", "A1: SST entries (PRE speedup over OoO)", presim.ModePRE,
-			[]int{16, 32, 64, 128, 256, 512, 1024}, "sst_size",
-			func(c *core.Config, v int) { c.SSTSize = v })
-	}
-	if *doEMQ {
-		any = true
-		s.sweep("a2_emq", "A2: EMQ entries (PRE+EMQ speedup over OoO)", presim.ModePREEMQ,
-			[]int{192, 384, 768, 1152, 1536}, "emq_size",
-			func(c *core.Config, v int) { c.EMQSize = v })
-	}
-	if *doRAT {
-		any = true
-		s.sweep("a3_rathreshold", "A3: RA minimum-interval filter, cycles (RA speedup over OoO)", presim.ModeRA,
-			[]int{0, 20, 40, 64, 100, 150}, "min_runahead_cycles",
-			func(c *core.Config, v int) { c.MinRunaheadCycles = int64(v) })
-	}
-	if *doMSHR {
-		any = true
-		s.sweep("mshr", "MSHR budget: L1D outstanding misses (PRE speedup over OoO)", presim.ModePRE,
-			[]int{8, 16, 32, 64}, "l1d_mshrs",
-			func(c *core.Config, v int) { c.Mem.L1D.MSHRs = v })
-	}
-	if *doPF {
-		any = true
-		s.sweepPF()
-	}
-	if *doSynth {
-		any = true
-		s.sweepSynth(*seeds, *synthSeed)
-	}
-	if !any {
-		fmt.Fprintln(os.Stderr, "sweep: pass at least one of -sst, -emq, -rathreshold, -mshr, -pf, -synth")
-		os.Exit(2)
+	for _, i := range o.selected {
+		o.run(sweeps[i].id, sweeps[i].render)
 	}
 }
 
-type sweeper struct {
-	opt       presim.Options
-	workers   int
-	jsonDir   string
-	timing    bool
-	progress  bool
-	tracefile string
-	server    string // simulation-server URL; "" = run locally
+// run sets the window (and population) of one catalogue experiment and
+// runs it here, printing its summary with render, or on the -server.
+//
+//sim:wallclock -timing progress display only; the JSON artifact carries its own audited meta
+func (o options) run(id string, render func(*exp.Set)) {
+	e, err := presim.CatalogEntry(id)
+	if err != nil {
+		fatal(err)
+	}
+	spec := e.Spec
+	spec.WarmupUops, spec.MeasureUops = o.warmup, o.measure
+	if pop := spec.Population; pop != nil {
+		pop.Count = o.seeds
+		if o.synthSeed != 0 {
+			pop.BaseSeed = fmt.Sprintf("%x", o.synthSeed)
+		}
+		fmt.Printf("Synth population: %d seeded scenarios x all mechanisms (speedup over OoO)\n", pop.Count)
+	} else {
+		fmt.Println(e.Title)
+	}
+	start := time.Now()
+	if o.server != "" {
+		o.submitRemote(spec)
+	} else {
+		o.runLocal(spec, render)
+	}
+	if o.timing {
+		fmt.Printf("  (wall-clock %.2fs)\n", time.Since(start).Seconds())
+	}
 }
 
-// runOpts assembles the orchestrator options: the pool width, per-run
-// trace recording when -tracefile was given, and the live -progress meter
-// on stderr (stderr so it never pollutes the parseable stdout tables).
-func (s sweeper) runOpts() exp.RunOptions {
-	o := exp.RunOptions{Workers: s.workers, Trace: s.tracefile != ""}
-	if s.progress {
-		o.Progress = func(ev exp.ProgressEvent) {
+// runLocal runs spec on this machine's worker pool, prints its summary,
+// and writes the results document and the trace sidecar when asked.
+func (o options) runLocal(spec presim.JobSpec, render func(*exp.Set)) {
+	ro := exp.RunOptions{Workers: o.workers, Trace: o.tracefile != ""}
+	if o.progress {
+		// stderr, so the meter never pollutes the parseable stdout tables.
+		ro.Progress = func(ev exp.ProgressEvent) {
 			fmt.Fprintf(os.Stderr, "sweep: %d/%d done  %s/%s  %.2fs (elapsed %.1fs)\n",
 				ev.Done, ev.Total, ev.Workload, ev.Mode, ev.Seconds, ev.ElapsedSeconds)
 		}
 	}
-	return o
-}
-
-// writeTrace writes the merged trace sidecar when -tracefile was given.
-func (s sweeper) writeTrace(set *exp.Set) {
-	if s.tracefile == "" {
-		return
-	}
-	if err := set.WriteTrace(s.tracefile); err != nil {
+	set, err := spec.Run(ro)
+	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("  (trace sidecar written to %s)\n", s.tracefile)
+	render(set)
+	if o.timing {
+		meta := set.Meta()
+		fmt.Printf("  (%d workers, GOMAXPROCS %d, %d unique runs)\n",
+			meta.EffectiveWorkers, meta.GOMAXPROCS, meta.UniqueRuns)
+	}
+	if o.jsonDir != "" {
+		if err := set.WriteFile(o.jsonDir, spec.Name); err != nil {
+			fatal(err)
+		}
+		if spec.Population != nil {
+			fmt.Printf("  (per-seed parameters recorded in %s/%s.json cells[].synth)\n", o.jsonDir, spec.Name)
+		}
+	}
+	if o.tracefile != "" {
+		if err := set.WriteTrace(o.tracefile); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("  (trace sidecar written to %s)\n", o.tracefile)
+	}
 }
 
-// sweep runs the full suite at each parameter value and prints the
-// geometric-mean speedup over the (shared, deduplicated) OoO baseline.
-// knob is the parameter's wire name (serve.KnobNames), used when the
-// sweep is submitted to a remote server instead of run here.
-//
-//sim:wallclock -timing progress display only; the JSON artifact carries its own audited meta
-func (s sweeper) sweep(name, title string, mode presim.Mode, values []int,
-	knob string, apply func(*core.Config, int)) {
-	fmt.Println(title)
-	start := time.Now()
-	if s.server != "" {
-		points := make([]presim.JobPoint, len(values))
-		for i, v := range values {
-			points[i] = presim.JobPoint{
-				Name:  fmt.Sprintf("%d", v),
-				Knobs: map[string]int64{knob: int64(v)},
+// printSweep prints the geometric-mean speedup of a one-mode sweep at
+// each of its parameter values.
+func printSweep(set *exp.Set) {
+	for pi, v := range set.Plan().Points() {
+		fmt.Printf("  %6s: %.3fx\n", v, set.GeoMeanSpeedups(pi)[0])
+	}
+}
+
+// printPFGrid prints the grid summary (geomean speedups over each
+// variant's own OoO baseline) and per-variant prefetcher quality; the
+// full per-run counters land in the -json sink.
+func printPFGrid(set *exp.Set) {
+	points := set.Plan().Points()
+	summary := make([][]float64, len(points))
+	for pi := range points {
+		summary[pi] = set.GeoMeanSpeedups(pi)
+	}
+	presim.PFGridTable(points, presim.Modes(), summary).Write(os.Stdout)
+	for pi, p := range points {
+		var acc, cov, tim float64
+		var n int
+		for wi := range set.Plan().Workloads() {
+			r := set.Result(pi, wi, 0) // prefetcher quality under the OoO cell
+			if r.HWPrefIssued == 0 {
+				continue
 			}
+			acc += r.HWPFAccuracy
+			cov += r.HWPFCoverage
+			tim += r.HWPFTimeliness
+			n++
 		}
-		s.submitRemote(name, presim.JobSpec{
-			Name:        name,
-			Workloads:   presim.WorkloadNames(),
-			Modes:       []string{mode.String()},
-			Points:      points,
-			WarmupUops:  s.opt.WarmupUops,
-			MeasureUops: s.opt.MeasureUops,
-			AddBaseline: true,
-		})
-	} else {
-		s.sweepParallel(name, mode, values, apply)
+		if n > 0 {
+			fmt.Printf("  %-12s OoO-cell prefetch quality: accuracy %.0f%%, coverage %.0f%%, timeliness %.0f%% (mean over %d workloads)\n",
+				p, 100*acc/float64(n), 100*cov/float64(n), 100*tim/float64(n), n)
+		}
 	}
-	if s.timing {
-		fmt.Printf("  (wall-clock %.2fs)\n", time.Since(start).Seconds())
+}
+
+// printPopulation prints the per-seed speedup distributions of a
+// population sweep.
+func printPopulation(set *exp.Set) {
+	points := set.Plan().Points()
+	stats := make([][]presim.PopulationStat, len(points))
+	for pi := range points {
+		stats[pi] = set.PopulationStats(pi)
 	}
+	presim.PopulationGridTable(points, stats).Write(os.Stdout)
 }
 
 // submitRemote submits one job spec to the -server instance, streams its
 // events (surfaced via -progress), waits for completion, and captures
 // the results document into -json. The document is byte-identical to a
 // local run's, whether the server simulated or served from cache.
-func (s sweeper) submitRemote(name string, spec presim.JobSpec) {
-	cl := presim.NewClient(s.server)
+func (o options) submitRemote(spec presim.JobSpec) {
+	cl := presim.NewClient(o.server)
 	ctx := context.Background()
 	st, err := cl.Submit(ctx, spec)
 	if err != nil {
 		fatal(err)
 	}
 	var onEvent func(presim.JobEvent) error
-	if s.progress {
+	if o.progress {
 		onEvent = func(ev presim.JobEvent) error {
 			if ev.Type == "cell" {
 				src := "simulated"
@@ -291,8 +341,8 @@ func (s sweeper) submitRemote(name string, spec presim.JobSpec) {
 		fatal(err)
 	}
 	fmt.Printf("  remote job %s on %s: %d unique runs, %d from cache, server wall-clock %.2fs\n",
-		final.ID, s.server, final.NumUnique, final.CacheHits, final.Meta.WallClockSeconds)
-	if s.jsonDir == "" {
+		final.ID, o.server, final.NumUnique, final.CacheHits, final.Meta.WallClockSeconds)
+	if o.jsonDir == "" {
 		fmt.Println("  (pass -json DIR to capture the results document)")
 		return
 	}
@@ -300,197 +350,14 @@ func (s sweeper) submitRemote(name string, spec presim.JobSpec) {
 	if err != nil {
 		fatal(err)
 	}
-	if err := os.MkdirAll(s.jsonDir, 0o755); err != nil {
+	if err := os.MkdirAll(o.jsonDir, 0o755); err != nil {
 		fatal(err)
 	}
-	path := filepath.Join(s.jsonDir, name+".json")
+	path := filepath.Join(o.jsonDir, spec.Name+".json")
 	if err := os.WriteFile(path, doc, 0o644); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  (results JSON written to %s)\n", path)
-}
-
-// sweepParallel expresses the sweep as one exp.Matrix and lets the
-// orchestrator dedupe baselines and saturate the worker pool.
-func (s sweeper) sweepParallel(name string, mode presim.Mode, values []int,
-	apply func(*core.Config, int)) {
-	points := make([]exp.Point, len(values))
-	for i, v := range values {
-		v := v
-		points[i] = exp.Point{
-			Name:  fmt.Sprintf("%d", v),
-			Apply: func(c *core.Config) { apply(c, v) },
-		}
-	}
-	m := exp.Matrix{
-		Name:        name,
-		Workloads:   presim.Workloads(),
-		Modes:       []presim.Mode{mode},
-		Points:      points,
-		Options:     s.opt,
-		AddBaseline: true,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		fatal(err)
-	}
-	set, err := plan.RunOpts(s.runOpts())
-	if err != nil {
-		fatal(err)
-	}
-	for pi, v := range values {
-		fmt.Printf("  %6d: %.3fx\n", v, set.GeoMeanSpeedups(pi)[0])
-	}
-	if s.jsonDir != "" {
-		if err := set.WriteFile(s.jsonDir, name); err != nil {
-			fatal(err)
-		}
-	}
-	s.writeTrace(set)
-}
-
-// sweepPF runs the PF grid: every runahead mechanism crossed with every
-// hardware-prefetcher variant over the full suite, one exp.Matrix. The
-// grid summary (geomean speedups over each variant's own OoO baseline)
-// and per-variant prefetcher quality print to stdout; the full per-run
-// counters land in the -json sink.
-//
-//sim:wallclock -timing progress display only; the JSON artifact carries its own audited meta
-func (s sweeper) sweepPF() {
-	fmt.Println("PF grid: mechanisms x hardware prefetchers (speedup over per-variant OoO)")
-	start := time.Now()
-	if s.server != "" {
-		modes := make([]string, 0, len(presim.Modes()))
-		for _, m := range presim.Modes() {
-			modes = append(modes, m.String())
-		}
-		var points []presim.JobPoint
-		for _, v := range presim.PrefetchVariants() {
-			points = append(points, presim.JobPoint{Name: v.Name, PrefetchVariant: v.Name})
-		}
-		s.submitRemote("pf_grid", presim.JobSpec{
-			Name:        "pf_grid",
-			Workloads:   presim.WorkloadNames(),
-			Modes:       modes,
-			Points:      points,
-			WarmupUops:  s.opt.WarmupUops,
-			MeasureUops: s.opt.MeasureUops,
-		})
-		return
-	}
-	m := exp.Matrix{
-		Name:      "pf_grid",
-		Workloads: presim.Workloads(),
-		Modes:     presim.Modes(),
-		Points:    presim.PrefetchPoints(),
-		Options:   s.opt,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		fatal(err)
-	}
-	set, err := plan.RunOpts(s.runOpts())
-	if err != nil {
-		fatal(err)
-	}
-	points := plan.Points()
-	summary := make([][]float64, len(points))
-	for pi := range points {
-		summary[pi] = set.GeoMeanSpeedups(pi)
-	}
-	presim.PFGridTable(points, presim.Modes(), summary).Write(os.Stdout)
-	for pi, p := range points {
-		var acc, cov, tim float64
-		var n int
-		for wi := range m.Workloads {
-			r := set.Result(pi, wi, 0) // prefetcher quality under the OoO cell
-			if r.HWPrefIssued == 0 {
-				continue
-			}
-			acc += r.HWPFAccuracy
-			cov += r.HWPFCoverage
-			tim += r.HWPFTimeliness
-			n++
-		}
-		if n > 0 {
-			fmt.Printf("  %-12s OoO-cell prefetch quality: accuracy %.0f%%, coverage %.0f%%, timeliness %.0f%% (mean over %d workloads)\n",
-				p, 100*acc/float64(n), 100*cov/float64(n), 100*tim/float64(n), n)
-		}
-	}
-	if s.timing {
-		meta := set.Meta()
-		fmt.Printf("  (wall-clock %.2fs, %d workers, GOMAXPROCS %d, %d unique runs)\n",
-			time.Since(start).Seconds(), meta.EffectiveWorkers, meta.GOMAXPROCS, meta.UniqueRuns)
-	}
-	if s.jsonDir != "" {
-		if err := set.WriteFile(s.jsonDir, "pf_grid"); err != nil {
-			fatal(err)
-		}
-	}
-	s.writeTrace(set)
-}
-
-// sweepSynth runs the population sweep: count seeded scenarios sampled
-// from the default synth space, crossed with every mechanism, summarized
-// as per-seed speedup distributions. The -json artifact records every
-// scenario's sampled parameters (schema v3 "synth" cell field).
-//
-//sim:wallclock -timing progress display only; the JSON artifact carries its own audited meta
-func (s sweeper) sweepSynth(count int, baseSeed uint64) {
-	fmt.Printf("Synth population: %d seeded scenarios x all mechanisms (speedup over OoO)\n", count)
-	start := time.Now()
-	if s.server != "" {
-		modes := make([]string, 0, len(presim.Modes()))
-		for _, m := range presim.Modes() {
-			modes = append(modes, m.String())
-		}
-		pop := &presim.JobPopulation{SpaceName: "default", Count: count}
-		if baseSeed != 0 {
-			pop.BaseSeed = fmt.Sprintf("%x", baseSeed)
-		}
-		s.submitRemote("synth_population", presim.JobSpec{
-			Name:        "synth_population",
-			Modes:       modes,
-			Population:  pop,
-			WarmupUops:  s.opt.WarmupUops,
-			MeasureUops: s.opt.MeasureUops,
-		})
-		return
-	}
-	m := exp.Matrix{
-		Name:  "synth_population",
-		Modes: presim.Modes(),
-		Population: &exp.Population{
-			Space: presim.DefaultSynthSpace(), Count: count, BaseSeed: baseSeed,
-		},
-		Options: s.opt,
-	}
-	plan, err := m.Expand()
-	if err != nil {
-		fatal(err)
-	}
-	set, err := plan.RunOpts(s.runOpts())
-	if err != nil {
-		fatal(err)
-	}
-	points := plan.Points()
-	stats := make([][]presim.PopulationStat, len(points))
-	for pi := range points {
-		stats[pi] = set.PopulationStats(pi)
-	}
-	presim.PopulationGridTable(points, stats).Write(os.Stdout)
-	if s.timing {
-		meta := set.Meta()
-		fmt.Printf("  (wall-clock %.2fs, %d workers, %d unique runs)\n",
-			time.Since(start).Seconds(), meta.EffectiveWorkers, meta.UniqueRuns)
-	}
-	if s.jsonDir != "" {
-		if err := set.WriteFile(s.jsonDir, "synth_population"); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  (per-seed parameters recorded in %s/synth_population.json cells[].synth)\n", s.jsonDir)
-	}
-	s.writeTrace(set)
 }
 
 func fatal(err error) {

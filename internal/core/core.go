@@ -236,9 +236,6 @@ func (c *Core) Predictor() *frontend.Predictor { return c.pred }
 // FetchUnit returns the front end (for reports).
 func (c *Core) FetchUnit() *frontend.FetchUnit { return c.fetch }
 
-// Renamer returns the rename stage (for reports).
-func (c *Core) Renamer() *rename.Renamer { return c.ren }
-
 // SST returns the stalling slice table (for reports).
 func (c *Core) SST() *runahead.SST { return c.sst }
 

@@ -422,10 +422,6 @@ func (s *storeQueue) dropYoungerThan(cutoff int64) {
 	}
 }
 
-func (s *storeQueue) clearUncommitted() {
-	s.dropYoungerThan(-1 << 62)
-}
-
 // rebuildBloom recomputes the filter from the live entries (snapshot
 // restore replaces the ring contents wholesale).
 func (s *storeQueue) rebuildBloom() {

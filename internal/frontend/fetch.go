@@ -342,13 +342,6 @@ type FetchSnapshot struct {
 	lineReady   int64
 }
 
-// TakeSnapshot deep-copies the fetch state.
-func (f *FetchUnit) TakeSnapshot() *FetchSnapshot {
-	s := &FetchSnapshot{}
-	f.TakeSnapshotInto(s)
-	return s
-}
-
 // TakeSnapshotInto deep-copies the fetch state into s, reusing s's queue
 // buffer — the allocation-free variant for the per-episode snapshot the
 // E6 ablation takes at every runahead entry. The ring is linearized in

@@ -51,7 +51,6 @@ type Predictor struct {
 	rasTop  int
 
 	mispredicts int64
-	lookups     int64
 }
 
 // NewPredictor builds a predictor, panicking on non-power-of-two sizes.
@@ -84,11 +83,8 @@ func NewPredictor(cfg PredictorConfig) *Predictor {
 // Mispredicts returns the number of incorrect predictions so far.
 func (p *Predictor) Mispredicts() int64 { return p.mispredicts }
 
-// Lookups returns the number of control µops predicted.
-func (p *Predictor) Lookups() int64 { return p.lookups }
-
 // ResetStats zeroes the counters without clearing learned state.
-func (p *Predictor) ResetStats() { p.mispredicts, p.lookups = 0, 0 }
+func (p *Predictor) ResetStats() { p.mispredicts = 0 }
 
 func (p *Predictor) phtIndex(pc uint64) uint64 {
 	return ((pc >> 2) ^ p.hist) & p.phtMask
@@ -100,7 +96,6 @@ func (p *Predictor) btbIndex(pc uint64) uint64 { return (pc >> 2) & p.btbMask }
 // the true outcome, and reports whether the prediction (direction and
 // target) was correct.
 func (p *Predictor) PredictAndTrain(u *uarch.Uop) bool {
-	p.lookups++
 	correct := true
 	switch u.Class {
 	case uarch.ClassBranch:

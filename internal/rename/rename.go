@@ -402,13 +402,6 @@ type FullSnapshot struct {
 	pregs     []pstate
 }
 
-// TakeFullSnapshot deep-copies the renamer state.
-func (r *Renamer) TakeFullSnapshot() *FullSnapshot {
-	s := &FullSnapshot{}
-	r.TakeFullSnapshotInto(s)
-	return s
-}
-
 // TakeFullSnapshotInto deep-copies the renamer state into s, reusing its
 // buffers — the allocation-free variant for per-episode snapshots.
 func (r *Renamer) TakeFullSnapshotInto(s *FullSnapshot) {

@@ -29,9 +29,6 @@ func NewEMQ(capacity int) *EMQ {
 	return &EMQ{seqs: make([]int64, capacity)}
 }
 
-// Capacity returns the configured entry count.
-func (q *EMQ) Capacity() int { return len(q.seqs) }
-
 // Len returns the number of buffered µops.
 func (q *EMQ) Len() int { return q.size }
 

@@ -43,9 +43,6 @@ func NewPRDQ(capacity int) *PRDQ {
 	return &PRDQ{entries: make([]prdqEntry, capacity)}
 }
 
-// Capacity returns the configured entry count.
-func (q *PRDQ) Capacity() int { return len(q.entries) }
-
 // Len returns the number of live entries.
 func (q *PRDQ) Len() int { return q.size }
 

@@ -74,9 +74,6 @@ func NewSST(capacity int) *SST {
 	return s
 }
 
-// Capacity returns the configured entry count.
-func (s *SST) Capacity() int { return s.capacity }
-
 // Len returns the number of live entries.
 func (s *SST) Len() int { return s.used }
 

@@ -89,9 +89,12 @@ const (
 )
 
 // knobSetters is the closed set of remotely settable configuration
-// knobs. Only knobs that are part of a published sweep axis belong here;
-// everything else stays server-side so a job spec can never construct an
-// un-vetted configuration.
+// knobs, and the only way a job spec overrides a configuration, so a
+// spec can never construct an un-vetted one. The catalogue's experiments
+// use sst_size (A1), emq_size (A2), min_runahead_cycles (A3), l1d_mshrs
+// (the MSHR sweep) and free_exit (E6); the other five are the remaining
+// runahead structure sizes and limits, for ablations a remote submitter
+// declares.
 var knobSetters = map[string]func(*core.Config, int64){
 	"sst_size":            func(c *core.Config, v int64) { c.SSTSize = int(v) },
 	"emq_size":            func(c *core.Config, v int64) { c.EMQSize = int(v) },
@@ -102,6 +105,9 @@ var knobSetters = map[string]func(*core.Config, int64){
 	"replay_lookahead":    func(c *core.Config, v int64) { c.ReplayLookahead = v },
 	"pre_max_divergence":  func(c *core.Config, v int64) { c.PREMaxDivergence = int(v) },
 	"l1d_mshrs":           func(c *core.Config, v int64) { c.Mem.L1D.MSHRs = int(v) },
+	// E6 is an ablation of RA only; the other modes of its matrix keep
+	// a flushing exit and so share the flush-exit point's runs.
+	"free_exit": func(c *core.Config, v int64) { c.FreeExit = v != 0 && c.Mode == core.ModeRA },
 }
 
 // KnobNames lists the remotely settable knob names, sorted.
@@ -170,6 +176,20 @@ func (s JobSpec) Matrix() (exp.Matrix, error) {
 	}
 	m.AddBaseline = s.AddBaseline
 	return m, nil
+}
+
+// Run runs the spec on this machine. The results document it writes is
+// byte-identical to what a server returns for the same spec.
+func (s JobSpec) Run(opts exp.RunOptions) (*exp.Set, error) {
+	m, err := s.Matrix()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := m.Expand()
+	if err != nil {
+		return nil, err
+	}
+	return plan.RunOpts(opts)
 }
 
 // point compiles one declarative point into an exp.Point whose Apply

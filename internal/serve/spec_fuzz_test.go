@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -13,12 +14,19 @@ import (
 // and validates every cell configuration; Expand may reject a spec but
 // must not panic on one. The corpus under testdata/fuzz holds the server
 // tests' spec bodies and the specs that once ran the server out of
-// memory.
+// memory; every catalogue experiment, at a small window, seeds it too.
 //
 // Run the generator with:
 //
 //	go test -run '^$' -fuzz FuzzJobSpec -fuzztime 20s ./internal/serve
 func FuzzJobSpec(f *testing.F) {
+	for _, e := range Catalog() {
+		body, err := json.Marshal(windowed(e))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeSpec(bytes.NewReader(body))
 		if err != nil {

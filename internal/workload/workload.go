@@ -80,10 +80,6 @@ func (e *emitQ) cmp(pc uint64, s1, s2 uarch.Reg) {
 	e.push(uarch.Uop{PC: pc, Class: uarch.ClassIntAlu, Src1: s1, Src2: s2})
 }
 
-func (e *emitQ) mul(pc uint64, dst, s1, s2 uarch.Reg) {
-	e.push(uarch.Uop{PC: pc, Class: uarch.ClassIntMul, Dst: dst, Src1: s1, Src2: s2})
-}
-
 func (e *emitQ) fadd(pc uint64, dst, s1, s2 uarch.Reg) {
 	e.push(uarch.Uop{PC: pc, Class: uarch.ClassFPAdd, Dst: dst, Src1: s1, Src2: s2})
 }
@@ -94,10 +90,6 @@ func (e *emitQ) fmul(pc uint64, dst, s1, s2 uarch.Reg) {
 
 func (e *emitQ) load(pc uint64, dst, addrSrc uarch.Reg, addr uint64) {
 	e.push(uarch.Uop{PC: pc, Class: uarch.ClassLoad, Dst: dst, Src1: addrSrc, Addr: addr, Size: 8})
-}
-
-func (e *emitQ) load2(pc uint64, dst, addrSrc, addrSrc2 uarch.Reg, addr uint64) {
-	e.push(uarch.Uop{PC: pc, Class: uarch.ClassLoad, Dst: dst, Src1: addrSrc, Src2: addrSrc2, Addr: addr, Size: 8})
 }
 
 func (e *emitQ) store(pc uint64, data, addrSrc uarch.Reg, addr uint64) {
