@@ -46,10 +46,7 @@ func Catalog() []CatalogExperiment { return serve.Catalog() }
 // CatalogEntry returns the published experiment with the given ID.
 func CatalogEntry(id string) (CatalogExperiment, error) { return serve.CatalogEntry(id) }
 
-// JobKnobNames lists the configuration knobs a JobSpec may set, sorted.
-func JobKnobNames() []string { return serve.KnobNames() }
-
 // CellKey is the content address of one simulation: the canonical,
-// versioned identity (workload + synth params + window + energy model +
-// per-mode config) under which the serve-layer cache stores results.
+// versioned identity (workload + synth params + window + per-mode
+// config) under which the serve-layer cache stores results.
 type CellKey = exp.CellKey

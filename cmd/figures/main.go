@@ -67,6 +67,10 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		err = fmt.Errorf("-only %q is not an artifact (valid: %s)", o.only, strings.Join(artifacts, ", "))
 	case o.measure <= 0:
 		err = fmt.Errorf("-n must be positive (got %d)", o.measure)
+	case o.warmup < 0:
+		err = fmt.Errorf("-warmup must be non-negative (got %d)", o.warmup)
+	case o.seeds < 1:
+		err = fmt.Errorf("-seeds must be at least 1 (got %d)", o.seeds)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "figures:", err)

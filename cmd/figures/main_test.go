@@ -18,6 +18,9 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-only", "e6", "-warmup", "0"}, false},
 		{[]string{"-only", "synth", "-seeds", "4"}, false},
 		{[]string{"-n", "0"}, true},
+		{[]string{"-only", "table1", "-warmup", "-1"}, true},
+		{[]string{"-only", "synth", "-seeds", "0"}, true},
+		{[]string{"-seeds", "-3"}, true},
 		{[]string{"-only", "fig4"}, true},
 		{[]string{"-no-such-flag"}, true},
 	} {

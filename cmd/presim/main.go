@@ -10,58 +10,90 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	presim "repro"
 	"repro/internal/core"
 )
 
-func main() {
-	bench := flag.String("bench", "mcf", "benchmark name (see -list)")
-	mode := flag.String("mode", "PRE", "mechanism: OoO, RA, RA-buffer, PRE, PRE+EMQ")
-	pf := flag.String("pf", "no-pf", "hardware prefetchers: no-pf, stride, best-offset, stride+bo, l1i-nl, throttled, filtered, adaptive")
-	all := flag.Bool("all", false, "run every mechanism and compare")
-	list := flag.Bool("list", false, "list available benchmarks and exit")
-	warmup := flag.Int64("warmup", 50_000, "warmup µops")
-	measure := flag.Int64("n", 300_000, "measured µops")
-	tracefile := flag.String("tracefile", "", "write a Chrome-trace (Perfetto) sidecar of the measured window to this file")
-	flag.Parse()
+type options struct {
+	w         presim.Workload
+	mode      presim.Mode
+	variant   presim.PrefetchVariant
+	all, list bool
+	tracefile string
+	opt       presim.Options // the window; Configure is set in main
+}
 
-	if *all && *tracefile != "" {
-		fmt.Fprintln(os.Stderr, "presim: -tracefile records a single run; drop -all or pick one -mode")
+// parseFlags parses and validates args, resolving the benchmark, mode and
+// prefetch variant by name; a usage error has already been reported on
+// stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	o := options{opt: presim.DefaultOptions()}
+	fs := flag.NewFlagSet("presim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "mcf", "benchmark name (see -list)")
+	mode := fs.String("mode", "PRE", "mechanism: OoO, RA, RA-buffer, PRE, PRE+EMQ")
+	pf := fs.String("pf", "no-pf", "hardware prefetchers: no-pf, stride, best-offset, stride+bo, l1i-nl, throttled, filtered, adaptive")
+	fs.BoolVar(&o.all, "all", false, "run every mechanism and compare")
+	fs.BoolVar(&o.list, "list", false, "list available benchmarks and exit")
+	fs.Int64Var(&o.opt.WarmupUops, "warmup", o.opt.WarmupUops, "warmup µops")
+	fs.Int64Var(&o.opt.MeasureUops, "n", o.opt.MeasureUops, "measured µops")
+	fs.StringVar(&o.tracefile, "tracefile", "", "write a Chrome-trace (Perfetto) sidecar of the measured window to this file")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var errW, errM, errP error
+	o.w, errW = presim.WorkloadByName(*bench)
+	o.mode, errM = presim.ParseMode(*mode)
+	o.variant, errP = presim.PrefetchVariantByName(*pf)
+	err := errors.Join(errW, errM, errP)
+	switch {
+	case err != nil:
+	case o.all && o.tracefile != "":
+		err = fmt.Errorf("-tracefile records a single run; drop -all or pick one -mode")
+	case o.opt.MeasureUops <= 0:
+		err = fmt.Errorf("-n must be positive (got %d)", o.opt.MeasureUops)
+	case o.opt.WarmupUops < 0:
+		err = fmt.Errorf("-warmup must be non-negative (got %d)", o.opt.WarmupUops)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "presim:", err)
+	}
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
 
-	if *list {
+	if o.list {
 		for _, w := range presim.Workloads() {
 			fmt.Printf("%-12s %-9s chains=%d\n", w.Name, w.Class, w.Chains)
 		}
 		return
 	}
 
-	w, err := presim.WorkloadByName(*bench)
-	if err != nil {
-		fatal(err)
-	}
-	variant, err := presim.PrefetchVariantByName(*pf)
-	if err != nil {
-		fatal(err)
-	}
-	opt := presim.DefaultOptions()
-	opt.WarmupUops = *warmup
-	opt.MeasureUops = *measure
+	w, variant, opt := o.w, o.variant, o.opt
 	opt.Configure = func(c *core.Config) { c.ApplyPrefetch(variant) }
 
-	if *all {
+	if o.all {
 		modes := presim.Modes()
 		results, err := presim.RunMatrix([]presim.Workload{w}, modes, opt)
 		if err != nil {
 			fatal(err)
 		}
 		base := results[0][0]
-		fmt.Printf("%s (%s, %d µops measured)\n\n", w.Name, w.Class, *measure)
+		fmt.Printf("%s (%s, %d µops measured)\n\n", w.Name, w.Class, opt.MeasureUops)
 		fmt.Printf("%-10s %8s %9s %9s %10s %8s\n", "mode", "IPC", "speedup", "entries", "interval", "energy")
 		for mi, m := range modes {
 			r := results[0][mi]
@@ -72,25 +104,21 @@ func main() {
 		return
 	}
 
-	m, err := presim.ParseMode(*mode)
-	if err != nil {
-		fatal(err)
-	}
 	var rec *presim.TraceRecorder
-	if *tracefile != "" {
-		rec = presim.NewTraceRecorder(fmt.Sprintf("%s/%s", w.Name, m))
+	if o.tracefile != "" {
+		rec = presim.NewTraceRecorder(fmt.Sprintf("%s/%s", w.Name, o.mode))
 		opt.Trace = rec
 	}
-	r, err := presim.Run(w, m, opt)
+	r, err := presim.Run(w, o.mode, opt)
 	if err != nil {
 		fatal(err)
 	}
 	if rec != nil {
-		if err := rec.WriteFile(*tracefile); err != nil {
+		if err := rec.WriteFile(o.tracefile); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace           %s (%d events, %d runahead episodes)\n",
-			*tracefile, len(rec.Events()), rec.Episodes())
+			o.tracefile, len(rec.Events()), rec.Episodes())
 	}
 	fmt.Printf("benchmark       %s (%s)\n", r.Workload, w.Class)
 	fmt.Printf("mechanism       %s\n", r.Mode)

@@ -18,38 +18,30 @@ import (
 	"os"
 
 	presim "repro"
+	"repro/internal/exp"
 )
 
 func main() {
-	opt := presim.DefaultOptions()
-	opt.WarmupUops = 20_000
-	opt.MeasureUops = 60_000
-
 	// no-pf and the combined stride+bo variant: the two ends of the
 	// prefetching axis.
-	pts := presim.PrefetchPoints()
-	points := []presim.ExperimentPoint{pts[0], pts[len(pts)-1]}
-
-	m := presim.Experiment{
-		Name:   "populationsweep",
-		Modes:  []presim.Mode{presim.ModeOoO, presim.ModePRE},
-		Points: points,
-		Population: &presim.Population{
-			Space: presim.DefaultSynthSpace(),
-			Count: 50,
+	spec := presim.JobSpec{
+		Name:  "populationsweep",
+		Modes: []string{presim.ModeOoO.String(), presim.ModePRE.String()},
+		Points: []presim.JobPoint{
+			{Name: "no-pf", PrefetchVariant: "no-pf"},
+			{Name: "stride+bo", PrefetchVariant: "stride+bo"},
 		},
-		Options: opt,
+		Population:  &presim.JobPopulation{SpaceName: "default", Count: 50},
+		WarmupUops:  20_000,
+		MeasureUops: 60_000,
 	}
-	plan, err := m.Expand()
+	set, err := spec.Run(exp.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	plan := set.Plan()
 	fmt.Printf("50-seed population x {OoO, PRE} x {no-pf, stride+bo}: %d unique runs\n\n",
 		plan.NumUnique())
-	set, err := plan.Run(0)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	names := plan.Points()
 	stats := make([][]presim.PopulationStat, len(names))

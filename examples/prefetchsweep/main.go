@@ -15,37 +15,26 @@ import (
 	"os"
 
 	presim "repro"
+	"repro/internal/exp"
 )
 
 func main() {
-	var workloads []presim.Workload
-	for _, name := range []string{"libquantum", "milc", "GemsFDTD", "omnetpp"} {
-		w, err := presim.WorkloadByName(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		workloads = append(workloads, w)
+	// The catalogue's PF grid, narrowed to four workloads and to OoO and
+	// PRE.
+	e, err := presim.CatalogEntry("pf_grid")
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	opt := presim.DefaultOptions()
-	opt.MeasureUops = 100_000
-
+	spec := e.Spec
+	spec.Workloads = []string{"libquantum", "milc", "GemsFDTD", "omnetpp"}
 	modes := []presim.Mode{presim.ModeOoO, presim.ModePRE}
-	m := presim.Experiment{
-		Name:      "prefetchsweep",
-		Workloads: workloads,
-		Modes:     modes,
-		Points:    presim.PrefetchPoints(),
-		Options:   opt,
-	}
-	plan, err := m.Expand()
+	spec.Modes = []string{modes[0].String(), modes[1].String()}
+	spec.WarmupUops, spec.MeasureUops = presim.DefaultOptions().WarmupUops, 100_000
+	set, err := spec.Run(exp.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	set, err := plan.Run(0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	plan := set.Plan()
 
 	points := plan.Points()
 	summary := make([][]float64, len(points))
@@ -61,7 +50,7 @@ func main() {
 		fmt.Printf("  %12s", p)
 	}
 	fmt.Println()
-	for wi, w := range workloads {
+	for wi, w := range plan.Workloads() {
 		fmt.Printf("%-12s", w.Name)
 		for pi := range points {
 			fmt.Printf("  %11.3fx", set.Speedup(pi, wi, 1))
@@ -72,7 +61,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("Prefetcher quality under PRE (%s variant):\n", points[len(points)-1])
 	last := len(points) - 1
-	for wi, w := range workloads {
+	for wi, w := range plan.Workloads() {
 		r := set.Result(last, wi, 1)
 		if r.HWPrefIssued == 0 {
 			continue

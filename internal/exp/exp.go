@@ -10,8 +10,8 @@
 //
 //   - every simulation is single-threaded and replay-deterministic,
 //   - each unique run writes only its own pre-allocated result slot,
-//   - per-run seeds derive from the run's identity (workload, mode,
-//     canonical config), never from scheduling order or time, and
+//     found by its identity (CellKey: workload, window, canonical
+//     config), never by scheduling order or time, and
 //   - all output is emitted in expansion order, not completion order.
 //
 // Deduplication exploits mode-irrelevant configuration: an OoO baseline
@@ -82,8 +82,7 @@ type uniqueRun struct {
 	wi   int // index into Matrix.Workloads
 	mode core.Mode
 	cfg  core.Config // fully-applied configuration
-	key  CellKey     // canonical identity (drives dedup, seeding, caching)
-	seed uint64
+	key  CellKey     // canonical identity (drives dedup and caching)
 }
 
 // Plan is an expanded Matrix: the cell grid, the deduplicated run list,
@@ -185,7 +184,7 @@ func (m Matrix) Expand() (*Plan, error) {
 		ui := len(p.unique)
 		index[ks] = ui
 		p.unique = append(p.unique, uniqueRun{
-			wi: wi, mode: mode, cfg: cfg, key: key, seed: key.Seed(),
+			wi: wi, mode: mode, cfg: cfg, key: key,
 		})
 		return ui, nil
 	}
@@ -246,11 +245,6 @@ func (p *Plan) Workloads() []workload.Workload {
 // SynthParams returns the sampled scenario parameters of workload wi, or
 // nil for a fixed (non-population) workload.
 func (p *Plan) SynthParams(wi int) *synth.Params { return p.synth[wi] }
-
-// Seed returns the deterministic per-run seed of unique run ui. Seeds
-// derive from the run's identity, so they are stable across worker
-// counts, process runs, and plan rebuilds.
-func (p *Plan) Seed(ui int) uint64 { return p.unique[ui].seed }
 
 // Key returns the canonical cell key of unique run ui — the identity a
 // content-addressed result cache stores the run's Result under.
@@ -358,8 +352,8 @@ func (p *Plan) RunOpts(opts RunOptions) (*Set, error) {
 		// the cell's completion.
 		defer func() {
 			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("exp: workload %q mode %v (point seed %016x) panicked: %v",
-					p.workloads[u.wi].Name, u.mode, u.seed, r)
+				errs[i] = fmt.Errorf("exp: workload %q mode %v (cell key %.16s) panicked: %v",
+					p.workloads[u.wi].Name, u.mode, u.key.Hash(), r)
 			}
 			secs[i] = time.Since(cellStart).Seconds()
 			if opts.Progress != nil {
@@ -527,13 +521,6 @@ func (s *Set) Grid(pi int) [][]sim.Result {
 		grid[wi] = row
 	}
 	return grid
-}
-
-// runKey renders the canonical identity of a fixed-workload simulation —
-// a convenience over CellKeyFor for the dedup-equivalence tests. Two runs
-// with equal keys are guaranteed to produce equal Results.
-func runKey(workload string, opt sim.Options, cfg core.Config) string {
-	return CellKeyFor(workload, nil, opt, cfg).String()
 }
 
 // canonicalConfig zeroes the runahead knobs the configuration's mode never

@@ -35,6 +35,13 @@ func testWorkloads(t testing.TB) []workload.Workload {
 	return ws
 }
 
+// runKey renders the canonical identity of a fixed-workload simulation —
+// a convenience over CellKeyFor for the dedup-equivalence tests. Two runs
+// with equal keys are guaranteed to produce equal Results.
+func runKey(workload string, opt sim.Options, cfg core.Config) string {
+	return CellKeyFor(workload, nil, opt, cfg).String()
+}
+
 func sstSweepMatrix(t testing.TB) Matrix {
 	points := []Point{
 		{Name: "sst=16", Apply: func(c *core.Config) { c.SSTSize = 16 }},
@@ -341,10 +348,10 @@ func TestSpeedupsMatchSerialReference(t *testing.T) {
 	}
 }
 
-// TestSeedsAreStable verifies per-run seeds derive from run identity:
-// re-expanding the same matrix reproduces them, and distinct runs get
-// distinct seeds.
-func TestSeedsAreStable(t *testing.T) {
+// TestKeyHashesAreStable verifies cell keys derive from run identity:
+// re-expanding the same matrix reproduces every key hash, and distinct
+// runs get distinct hashes.
+func TestKeyHashesAreStable(t *testing.T) {
 	m := sstSweepMatrix(t)
 	a, err := m.Expand()
 	if err != nil {
@@ -357,15 +364,16 @@ func TestSeedsAreStable(t *testing.T) {
 	if a.NumUnique() != b.NumUnique() {
 		t.Fatalf("re-expansion changed unique count: %d vs %d", a.NumUnique(), b.NumUnique())
 	}
-	seen := make(map[uint64]bool)
+	seen := make(map[string]bool)
 	for ui := 0; ui < a.NumUnique(); ui++ {
-		if a.Seed(ui) != b.Seed(ui) {
-			t.Errorf("unique run %d: seed changed across expansions", ui)
+		h := a.Key(ui).Hash()
+		if h != b.Key(ui).Hash() {
+			t.Errorf("unique run %d: key hash changed across expansions", ui)
 		}
-		if seen[a.Seed(ui)] {
-			t.Errorf("unique run %d: seed collision", ui)
+		if seen[h] {
+			t.Errorf("unique run %d: key hash collision", ui)
 		}
-		seen[a.Seed(ui)] = true
+		seen[h] = true
 	}
 }
 
@@ -433,7 +441,7 @@ func TestNoBaseline(t *testing.T) {
 
 // TestDocumentRecordsImplicitBaselines verifies AddBaseline sweeps
 // serialize their baseline runs: the document must be self-describing
-// (baseline IPC and seed recoverable without rerunning).
+// (baseline IPC recoverable without rerunning).
 func TestDocumentRecordsImplicitBaselines(t *testing.T) {
 	plan, err := sstSweepMatrix(t).Expand()
 	if err != nil {

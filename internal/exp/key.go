@@ -1,17 +1,8 @@
 // CellKey: the exported, versioned, content-addressable identity of one
-// deduplicated simulation. It is the same canonical identity Expand has
-// always used internally to deduplicate runs (workload, window, energy
-// model, canonical per-mode configuration), promoted to a public type so
-// a persistent result cache (internal/serve/cache) can key on it — two
-// runs with equal keys are guaranteed to produce equal Results, so a
-// cache hit is substitutable for a simulation by construction.
-//
-// Stability contract: CellKey.String and CellKey.Hash are CACHE
-// identities. Any change to their bytes — a canonicalization tweak, a
-// core.Config field addition, a format change — silently poisons every
-// persisted cache entry unless KeyVersion is bumped alongside it. The
-// golden-key tests (key_test.go) pin representative String/Hash/Seed
-// values so such a change fails CI and forces a conscious bump.
+// deduplicated simulation — the identity Expand deduplicates runs by and
+// the key a persistent result cache (internal/serve/cache) stores results
+// under. Two runs with equal keys produce equal Results, so a cache hit
+// is substitutable for a simulation by construction.
 package exp
 
 import (
@@ -19,28 +10,33 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"reflect"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload/synth"
 )
 
-// KeyVersion identifies the CellKey canonicalization and layout. Bump it
-// whenever the key bytes of an unchanged simulation would change (new
-// core.Config fields, canonicalConfig table edits, format changes): the
-// version is part of the key string, so a bump invalidates every
-// persisted cache entry at once instead of silently aliasing old results
-// onto new semantics. It is versioned alongside SchemaVersion — the
-// schema version is baked into the key too, because the cached payload
-// is a schema-shaped Result.
-const KeyVersion = 1
+// KeyVersion identifies the CellKey canonicalization and layout. String
+// and Hash are cache identities: bump KeyVersion whenever the key bytes of
+// an unchanged simulation would change (canonicalConfig table edits,
+// format changes, a new config field with a non-zero default), or when
+// simulated behaviour changes without any config field recording it, so
+// every persisted cache entry is invalidated at once instead of silently
+// aliasing old results onto new semantics. The golden-key tests
+// (key_test.go) pin representative hashes. The schema version is part of
+// the key too, because the cached payload is a schema-shaped Result.
+//
+// v2: the config renders as its non-zero leaves by field path, not %+v,
+// and the energy-model component is gone.
+const KeyVersion = 2
 
 // CellKey is the canonical identity of one unique simulation run.
 // Build one with CellKeyFor; the zero value is not a valid key. The
 // exported fields are read-only after CellKeyFor: it renders the key's
-// String, Hash and seed bytes once and memoizes them, so a field written
-// afterwards would not show in any of the three.
+// String and Hash once and memoizes them, so a field written afterwards
+// would not show in either.
 type CellKey struct {
 	// Workload is the workload's report name (a suite proxy like "mcf",
 	// or a synth scenario name like "s1a2b3c4d5e6f708").
@@ -53,18 +49,15 @@ type CellKey struct {
 	SynthParams string
 	// WarmupUops and MeasureUops are the simulation window.
 	WarmupUops, MeasureUops int64
-	// Energy is the canonical energy-model identity ("default" or the
-	// rendered override parameters).
-	Energy string
 	// Config is the canonical configuration: every knob the mode does
 	// not read has been zeroed (see canonicalConfig), so configurations
 	// that cannot produce different Results fingerprint identically.
 	Config core.Config
 
-	// seedStr, str and hash memoize seedKey, String and Hash. CellKeyFor
-	// fills them; a key built any other way leaves them empty and renders
-	// on every call, with the same bytes.
-	seedStr, str, hash string
+	// str and hash memoize String and Hash. CellKeyFor fills them; a key
+	// built any other way leaves them empty and renders on every call,
+	// with the same bytes.
+	str, hash string
 }
 
 // CellKeyFor builds the canonical key of one (workload, options, config)
@@ -72,10 +65,6 @@ type CellKey struct {
 // population workloads and must be nil for fixed workloads. The config is
 // canonicalized here; callers pass the fully-applied configuration.
 func CellKeyFor(workloadName string, params *synth.Params, opt sim.Options, cfg core.Config) CellKey {
-	energy := "default"
-	if opt.Energy != nil {
-		energy = fmt.Sprintf("%+v", *opt.Energy)
-	}
 	sp := ""
 	if params != nil {
 		// Params is plain data (strings, ints, slices of structs of the
@@ -92,46 +81,27 @@ func CellKeyFor(workloadName string, params *synth.Params, opt sim.Options, cfg 
 		SynthParams: sp,
 		WarmupUops:  opt.WarmupUops,
 		MeasureUops: opt.MeasureUops,
-		Energy:      energy,
 		Config:      canonicalConfig(cfg),
 	}
-	// Each rendering reuses the one before it: String embeds seedKey and
-	// Hash digests String.
-	k.seedStr = k.seedKey()
 	k.str = k.String()
 	k.hash = k.Hash()
 	return k
 }
 
-// seedKey renders the key in the pre-export runKey layout. These bytes
-// are FROZEN: per-run seeds (Plan.Seed, the "seed" field of every cell
-// in the results JSON) are derived by hashing exactly this string, and
-// the results JSON is covered by the byte-identical golden contract.
-// New identity components (KeyVersion, SchemaVersion, SynthParams) live
-// only in String, never here.
-func (k CellKey) seedKey() string {
-	if k.seedStr != "" {
-		return k.seedStr
-	}
-	var buf [2048]byte // keys render to ~1.2 KB; the buffer stays on the stack
-	b := fmt.Appendf(buf[:0], "w=%s|warm=%d|meas=%d|energy=%s|cfg=%+v",
-		k.Workload, k.WarmupUops, k.MeasureUops, k.Energy, k.Config)
-	// core.Config's last two fields were removed with the fast-runahead
-	// tier; their exact-tier rendering stays here so every seed is unchanged.
-	b = append(b[:len(b)-1], " Fidelity:exact ChainCacheSize:0}"...)
-	return string(b)
-}
-
-// String renders the full versioned cache identity. Two runs with equal
-// strings produce equal Results; the converse direction (unequal strings
-// for runs that would differ) is what canonicalConfig and the
-// golden-key tests guard.
+// String renders the full versioned cache identity: versions, workload,
+// synth parameters, window, and the canonical config's non-zero leaves
+// by field path. Two runs with equal strings produce equal Results; the
+// converse direction (unequal strings for runs that would differ) is what
+// canonicalConfig and the key tests guard.
 func (k CellKey) String() string {
 	if k.str != "" {
 		return k.str
 	}
-	return fmt.Sprintf("cellkey/v%d|schema=%d|synth=%s|%s",
-		KeyVersion, SchemaVersion, k.SynthParams, k.seedKey())
+	var buf [1024]byte // keys render to ~0.6 KB; the buffer stays on the stack
+	b := fmt.Appendf(buf[:0], "cellkey/v%d|schema=%d|w=%s|synth=%s|warm=%d|meas=%d|cfg=",
+		KeyVersion, SchemaVersion, k.Workload, k.SynthParams, k.WarmupUops, k.MeasureUops)
+	b = appendCanonical(b, reflect.ValueOf(&k.Config).Elem(), configLeaves)
+	return string(b)
 }
 
 // Hash returns the hex SHA-256 of String — the content address used as
@@ -144,16 +114,66 @@ func (k CellKey) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Seed derives the run's deterministic seed from its identity: an FNV-1a
-// hash of the frozen seed-key bytes pushed through a splitmix64
-// finalizer. Seeds are stable across worker counts, process runs, and
-// plan rebuilds; they are serialized into the results JSON, so this
-// derivation is part of the byte-identical contract.
-func (k CellKey) Seed() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k.seedKey()))
-	z := h.Sum64() + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+// leaf is one scalar field of a struct type, reached from the top by the
+// field indices in index and named by its dotted path ("Mem.L1D.MSHRs").
+type leaf struct {
+	path  string
+	index []int
+}
+
+// configLeaves lists core.Config's leaves once, at package init:
+// reflect.Type.Field allocates, and a field the encoding cannot render
+// fails every program that links exp, not just the first key.
+var configLeaves = leavesOf(reflect.TypeOf(core.Config{}))
+
+// leavesOf lists t's scalar leaves in declaration order, descending into
+// nested structs. It panics on a field of any kind the canonical encoding
+// cannot render, so a new field type can never drop out of the key
+// silently.
+func leavesOf(t reflect.Type) []leaf {
+	var ls []leaf
+	var walk func(t reflect.Type, prefix string, index []int)
+	walk = func(t reflect.Type, prefix string, index []int) {
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			idx := append(index[:len(index):len(index)], i)
+			switch k := f.Type.Kind(); {
+			case k == reflect.Struct:
+				walk(f.Type, prefix+f.Name+".", idx)
+			case k == reflect.Bool || k == reflect.String || k >= reflect.Int && k <= reflect.Uint64:
+				ls = append(ls, leaf{path: prefix + f.Name, index: idx})
+			default:
+				panic(fmt.Sprintf("exp: canonical encoding cannot render %s%s (%s)", prefix, f.Name, f.Type))
+			}
+		}
+	}
+	walk(t, "", nil)
+	return ls
+}
+
+// appendCanonical appends "Path=value;" for every non-zero leaf of the
+// struct v (leaves = leavesOf(v.Type())), in declaration order. Zero
+// leaves are left out, so adding a zero-valued field to the type changes
+// no encoding.
+func appendCanonical(b []byte, v reflect.Value, leaves []leaf) []byte {
+	for _, l := range leaves {
+		f := v.FieldByIndex(l.index)
+		if f.IsZero() {
+			continue
+		}
+		b = append(b, l.path...)
+		b = append(b, '=')
+		switch {
+		case f.Kind() == reflect.Bool:
+			b = append(b, "true"...)
+		case f.Kind() == reflect.String:
+			b = strconv.AppendQuote(b, f.String())
+		case f.CanInt():
+			b = strconv.AppendInt(b, f.Int(), 10)
+		default: // the unsigned kinds leavesOf admits
+			b = strconv.AppendUint(b, f.Uint(), 10)
+		}
+		b = append(b, ';')
+	}
+	return b
 }

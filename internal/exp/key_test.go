@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,16 +17,13 @@ import (
 	"repro/internal/workload/synth"
 )
 
-// goldenKeys pin the CellKey stability contract: String/Hash are cache
-// identities and Seed is serialized into the byte-identical results
-// JSON, so a silent change to any of them either poisons every persisted
-// cache entry or breaks the golden results. If this test fails because
-// you changed what a key covers ON PURPOSE (new core.Config field,
-// canonicalConfig table edit, layout change), bump KeyVersion, update
-// the pinned hashes here, and note the bump in the PR — cached results
-// from older versions are then correctly treated as misses. The seeds
-// must NEVER change: they are part of the results-JSON byte contract
-// (CellKey.seedKey is frozen independently of String).
+// goldenKeyCases pin the CellKey stability contract: String/Hash are
+// cache identities, so a silent change to either poisons every persisted
+// cache entry. If TestCellKeyGoldenHashes fails because you changed what
+// a key covers ON PURPOSE (canonicalConfig table edit, layout change, a
+// new config field with a non-zero default), bump KeyVersion, update the
+// pinned hashes, and note the bump in the PR — cached results from older
+// versions are then correctly treated as misses.
 func goldenKeyCases(t *testing.T) []struct {
 	name string
 	key  CellKey
@@ -49,43 +48,35 @@ func goldenKeyCases(t *testing.T) []struct {
 }
 
 func TestCellKeyGoldenHashes(t *testing.T) {
-	want := map[string]struct{ hash, seed string }{
-		"fixed/ooo": {"bbabbb953f495aeb1cfe3786afb4aa7ff9a61a6615789268e00d72fde2cb829d", "097abf951bd06fb1"},
-		"fixed/pre": {"1d898373ec413518164fcfae1bc61f16f42a1c0583f32cde27384f00f82c85ce", "fa05a489a2371bd5"},
-		"synth/ra":  {"7e3d9013a22ea0110b5ef4b49f4d6271fcd2e6a41bd57ae15a5dbcfb2d979775", "5db03120e06adac6"},
+	want := map[string]string{
+		"fixed/ooo": "1172abf4ff3f8518bcd3427a14610c4826b8d193b638a49807b122a23fecb85a",
+		"fixed/pre": "c401a79b09e10e35332398e53fa0ceadb859a481e861a191b987c0107fc5b13a",
+		"synth/ra":  "36063c2ac12faa6c46889004cffa16c830240ef7f35f63416c4a2b8cd0b4dba3",
 	}
 	for _, c := range goldenKeyCases(t) {
-		name, k := c.name, c.key
-		if got := k.Hash(); got != want[name].hash {
+		if got := c.key.Hash(); got != want[c.name] {
 			t.Errorf("%s: Hash() = %s, golden %s\nkey string: %s\n(cache identity changed — if intentional, bump exp.KeyVersion and repin)",
-				name, got, want[name].hash, k.String())
-		}
-		if got := fmt.Sprintf("%016x", k.Seed()); got != want[name].seed {
-			t.Errorf("%s: Seed() = %s, golden %s — seeds are serialized in results JSON and must never change",
-				name, got, want[name].seed)
+				c.name, got, want[c.name], c.key.String())
 		}
 	}
 }
 
 // The renderings CellKeyFor memoizes must be the bytes a key without the
-// memo renders, so a hand-built key and a built one agree on String, Hash
-// and Seed.
+// memo renders, so a hand-built key and a built one agree on String and
+// Hash.
 func TestCellKeyMemoMatchesRendering(t *testing.T) {
 	for _, c := range goldenKeyCases(t) {
 		k := c.key
-		if k.seedStr == "" || k.str == "" || k.hash == "" {
+		if k.str == "" || k.hash == "" {
 			t.Fatalf("%s: CellKeyFor left the memo unset", c.name)
 		}
 		bare := k
-		bare.seedStr, bare.str, bare.hash = "", "", ""
+		bare.str, bare.hash = "", ""
 		if k.String() != bare.String() {
 			t.Errorf("%s: memoized String %q, rendered %q", c.name, k.String(), bare.String())
 		}
 		if k.Hash() != bare.Hash() {
 			t.Errorf("%s: memoized Hash %s, rendered %s", c.name, k.Hash(), bare.Hash())
-		}
-		if k.Seed() != bare.Seed() {
-			t.Errorf("%s: memoized Seed %016x, rendered %016x", c.name, k.Seed(), bare.Seed())
 		}
 	}
 }
@@ -127,16 +118,10 @@ func TestCellKeyDistinguishesSynthParams(t *testing.T) {
 	if ka.String() == kb.String() || ka.Hash() == kb.Hash() {
 		t.Errorf("scenarios from different spaces share a cache key: %s", ka.Hash())
 	}
-	// The seed derivation deliberately ignores synth params (it predates
-	// them and is frozen), so the per-run seeds still match — the cache
-	// key is strictly finer than the seed key.
-	if ka.Seed() != kb.Seed() {
-		t.Errorf("seed derivation must not depend on synth params (frozen contract)")
-	}
 }
 
-// Expand's dedup and seeding must agree with the exported key type: every
-// unique run's Plan.Key reproduces Plan.Seed, and keys are unique.
+// Every unique run of an expanded plan carries a memoized key, and no two
+// unique runs share one.
 func TestExpandKeysConsistent(t *testing.T) {
 	m := Matrix{
 		Name:      "keys",
@@ -151,16 +136,164 @@ func TestExpandKeysConsistent(t *testing.T) {
 	seen := make(map[string]bool)
 	for ui := 0; ui < plan.NumUnique(); ui++ {
 		k := plan.Key(ui)
-		if k.str == "" || k.hash == "" || k.seedStr == "" {
+		if k.str == "" || k.hash == "" {
 			t.Errorf("unique %d: Plan.Key lacks the rendering memo", ui)
-		}
-		if k.Seed() != plan.Seed(ui) {
-			t.Errorf("unique %d: Key().Seed() %016x != Plan.Seed %016x", ui, k.Seed(), plan.Seed(ui))
 		}
 		if seen[k.Hash()] {
 			t.Errorf("unique %d: duplicate key hash %s", ui, k.Hash())
 		}
 		seen[k.Hash()] = true
+	}
+}
+
+// A field added at zero value must leave every encoding unchanged: the
+// walker lists only non-zero leaves, so growing core.Config by an
+// off-by-default flag is not a results change.
+func TestCanonicalEncodingIgnoresZeroFields(t *testing.T) {
+	type inner struct {
+		Size int
+		On   bool
+	}
+	type before struct {
+		Mode  uint8
+		Name  string
+		In    inner
+		Delay int64
+	}
+	type after struct {
+		Mode  uint8
+		Name  string
+		In    inner
+		Extra struct{ Flag bool }
+		Delay int64
+		Added uint32
+	}
+	b := before{Mode: 3, Name: "L1D", In: inner{Size: 64}, Delay: -5}
+	a := after{Mode: 3, Name: "L1D", In: inner{Size: 64}, Delay: -5}
+	encode := func(v any) string {
+		rv := reflect.ValueOf(v)
+		return string(appendCanonical(nil, rv, leavesOf(rv.Type())))
+	}
+	eb, ea := encode(b), encode(a)
+	if eb != ea {
+		t.Errorf("zero-valued fields changed the encoding:\nbefore %s\nafter  %s", eb, ea)
+	}
+	if want := `Mode=3;Name="L1D";In.Size=64;Delay=-5;`; eb != want {
+		t.Errorf("encoding = %s, want %s", eb, want)
+	}
+	a.Extra.Flag = true
+	if got := encode(a); got == eb {
+		t.Errorf("a non-zero added field left the encoding unchanged: %s", got)
+	}
+}
+
+// A field of a kind the encoding cannot render must stop the walker, not
+// drop out of the key (for core.Config, at package init).
+func TestCanonicalEncodingRejectsUnknownKinds(t *testing.T) {
+	type withFloat struct {
+		Size  int
+		Ratio float64
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a float64 field was encoded instead of panicking")
+		}
+	}()
+	leavesOf(reflect.TypeOf(withFloat{}))
+}
+
+// setLeaf sets the leaf of cfg named by l to a value derived from v: v
+// itself for integer kinds (truncated to the field's width), v&1 for
+// booleans, v's decimal rendering for strings.
+func setLeaf(cfg *core.Config, l leaf, v int64) {
+	f := reflect.ValueOf(cfg).Elem().FieldByIndex(l.index)
+	switch {
+	case f.Kind() == reflect.Bool:
+		f.SetBool(v&1 == 1)
+	case f.Kind() == reflect.String:
+		f.SetString(strconv.FormatInt(v, 10))
+	case f.CanInt():
+		f.SetInt(v)
+	default:
+		f.SetUint(uint64(v))
+	}
+}
+
+// perturb returns a value for leaf l that differs from its value in cfg.
+func perturb(cfg core.Config, l leaf) int64 {
+	f := reflect.ValueOf(cfg).FieldByIndex(l.index)
+	switch {
+	case f.Kind() == reflect.Bool:
+		if f.Bool() {
+			return 0
+		}
+		return 1
+	case f.Kind() == reflect.String:
+		return int64(len(f.String()) + 7) // no default name is a number
+	case f.CanInt():
+		return f.Int() + 1
+	default:
+		return int64(f.Uint() + 1)
+	}
+}
+
+// Perturbing any single leaf of a mode's default configuration changes
+// the key exactly when canonicalConfig keeps that leaf for the mode: a
+// knob the mode reads must split cells, a knob it ignores must not.
+func TestCellKeyTracksEveryLeaf(t *testing.T) {
+	opt := testOpt()
+	for _, mode := range core.Modes() {
+		base := core.Default(mode)
+		bk := CellKeyFor("mcf", nil, opt, base)
+		for _, l := range configLeaves {
+			cfg := base
+			setLeaf(&cfg, l, perturb(base, l))
+			kept := !reflect.DeepEqual(canonicalConfig(cfg), canonicalConfig(base))
+			changed := CellKeyFor("mcf", nil, opt, cfg).String() != bk.String()
+			if kept != changed {
+				t.Errorf("%v: perturbing %s: canonical config differs %v, key differs %v", mode, l.path, kept, changed)
+			}
+		}
+	}
+}
+
+// FuzzCellKey sets one fuzzed leaf on each of two configurations of one
+// mode: their keys must be equal if and only if their canonical
+// configurations are.
+func FuzzCellKey(f *testing.F) {
+	f.Add(uint8(core.ModePRE), uint16(0), int64(0), uint16(0), int64(0))
+	f.Add(uint8(core.ModeOoO), uint16(30), int64(512), uint16(31), int64(512))
+	f.Add(uint8(core.ModeRA), uint16(40), int64(1), uint16(41), int64(0))
+	f.Fuzz(func(t *testing.T, mode uint8, i uint16, x int64, j uint16, y int64) {
+		a := core.Default(core.Mode(mode % uint8(len(core.Modes()))))
+		b := a
+		la, lb := configLeaves[int(i)%len(configLeaves)], configLeaves[int(j)%len(configLeaves)]
+		setLeaf(&a, la, x)
+		setLeaf(&b, lb, y)
+		opt := testOpt()
+		same := reflect.DeepEqual(canonicalConfig(a), canonicalConfig(b))
+		ka, kb := CellKeyFor("w", nil, opt, a), CellKeyFor("w", nil, opt, b)
+		if (ka.String() == kb.String()) != same {
+			t.Errorf("%s=%d vs %s=%d: canonical configs equal %v, keys equal %v\n%s\n%s",
+				la.path, x, lb.path, y, same, !same, ka.String(), kb.String())
+		}
+		if (ka.Hash() == kb.Hash()) != same {
+			t.Errorf("%s=%d vs %s=%d: key hashes disagree with the key strings", la.path, x, lb.path, y)
+		}
+	})
+}
+
+// keySink keeps BenchmarkCellKeyFor's result live.
+var keySink CellKey
+
+// BenchmarkCellKeyFor measures one key build — canonicalization, the
+// rendering and its SHA-256 — which Expand pays once per matrix cell.
+func BenchmarkCellKeyFor(b *testing.B) {
+	opt := testOpt()
+	cfg := core.Default(core.ModePRE)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = CellKeyFor("mcf", nil, opt, cfg)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Population sweeps: a Matrix whose workload axis is sampled from the
 // stochastic scenario engine (internal/workload/synth) instead of — or in
-// addition to — the fixed suite proxies. The expansion consumes the
-// plan's derived-seed machinery (the same splitmix64 derivation behind
-// Plan.Seed) at the workload level: scenario i's seed depends only on the
+// addition to — the fixed suite proxies. The expansion derives seeds at
+// the workload level (synth.NthSeed): scenario i's seed depends only on the
 // population identity, never on modes or configuration points, so every
 // mechanism simulates the identical µop stream and the cross-mechanism
 // differential invariants keep holding over sampled populations.

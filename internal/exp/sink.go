@@ -38,7 +38,10 @@ import (
 // tier accounting on sim.Result (all ",omitempty", so exact-tier documents
 // are byte-identical to v4) and the meta document recorded the tier.
 // Removing the tier left v5 documents unchanged; the meta lost "fidelity".
-const SchemaVersion = 5
+//
+// v6: cells and baselines lost "seed", a per-run label no simulator read;
+// the cell key (KeyVersion 2) is the run's identity.
+const SchemaVersion = 6
 
 // RunMeta records how a Set was produced: wall-clock, requested and
 // effective pool width, and GOMAXPROCS. It is deliberately a SEPARATE
@@ -110,8 +113,8 @@ type Document struct {
 	// Baselines lists the implicit baseline runs per (point, workload)
 	// when the baseline mode is not a matrix axis (AddBaseline sweeps);
 	// when it is, the baselines already appear in Cells. Recording them
-	// keeps the document self-describing: baseline IPC and seeds are
-	// recoverable without rerunning.
+	// keeps the document self-describing: baseline IPC is recoverable
+	// without rerunning.
 	Baselines []Cell `json:"baselines,omitempty"`
 	// Cells lists every matrix cell in expansion order (point-major,
 	// then workload, then mode).
@@ -123,9 +126,6 @@ type Cell struct {
 	Point    string `json:"point"`
 	Workload string `json:"workload"`
 	Mode     string `json:"mode"`
-	// Seed is the run's deterministic seed (hex; uint64 does not survive
-	// JSON number round-trips).
-	Seed string `json:"seed"`
 	// Shared marks cells whose simulation was deduplicated into another
 	// cell's (or a baseline's) run.
 	Shared bool `json:"shared"`
@@ -227,7 +227,6 @@ func (s *Set) Document() *Document {
 					Point:    pt.Name,
 					Workload: p.workloads[wi].Name,
 					Mode:     mode.String(),
-					Seed:     fmt.Sprintf("%016x", p.unique[ui].seed),
 					Shared:   shared,
 					Speedup:  s.Speedup(pi, wi, mi),
 					Synth:    p.synth[wi],
@@ -243,7 +242,6 @@ func (s *Set) Document() *Document {
 						Point:    pt.Name,
 						Workload: p.workloads[wi].Name,
 						Mode:     p.m.Baseline.String(),
-						Seed:     fmt.Sprintf("%016x", p.unique[ui].seed),
 						Shared:   shared,
 						Speedup:  1,
 						Synth:    p.synth[wi],

@@ -100,8 +100,8 @@ func (g *panicGen) Next(u *uarch.Uop) {
 }
 
 // TestRunOptsPanicNamesCell verifies a panicking cell surfaces as an
-// error naming the workload, mode, and seed instead of killing the pool
-// namelessly.
+// error naming the workload, mode, and cell key instead of killing the
+// pool namelessly.
 func TestRunOptsPanicNamesCell(t *testing.T) {
 	bad := workload.Workload{
 		Name:  "panicker",
@@ -122,7 +122,8 @@ func TestRunOptsPanicNamesCell(t *testing.T) {
 	if err == nil {
 		t.Fatal("panicking cell did not surface as an error")
 	}
-	for _, want := range []string{`workload "panicker"`, "mode OoO", "panicked", "generator wedged"} {
+	key := "cell key " + plan.Key(0).Hash()[:16]
+	for _, want := range []string{`workload "panicker"`, "mode OoO", key, "panicked", "generator wedged"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}

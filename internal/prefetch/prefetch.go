@@ -140,9 +140,12 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("prefetch: unknown kind %q (want none, next-line, stride, best-offset)", s)
 }
 
-// queueCap bounds any prefetcher's pending-request queue; the hierarchy
-// drains the queue after every demand access, so the cap only guards
-// against degenerate configurations.
+// queueCap bounds any prefetcher's pending-request queue. An engine
+// queues at most Degree (<= queueCap) requests per observation, and the
+// hierarchy drains after every accepted demand access. A demand load
+// rejected at the L2 or L3 MSHRs has already trained the L2 engine,
+// though, and its requests wait for the next accepted load; at high
+// degrees such retries fill the queue and the excess counts as overflow.
 const queueCap = 64
 
 // Config describes one prefetcher instance. It contains only scalar

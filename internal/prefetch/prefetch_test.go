@@ -265,6 +265,67 @@ func TestOverflowCounted(t *testing.T) {
 	}
 }
 
+// TestEnginesBoundRequestsPerObserve: every engine of every standard
+// variant, run at the largest degree Validate admits (queueCap), queues
+// at most Degree requests per Observe over a long mixed access stream —
+// sequential, strided per PC, random, and repeated addresses, with
+// throttle feedback of every kind. A caller that drains after each
+// observation therefore never overflows the queue. (The memory hierarchy
+// does not always drain: a demand load rejected at the L2 or L3 MSHRs
+// has already trained the L2 engine, and nothing drains it until the
+// next accepted load. That path is where Overflowed counts.)
+func TestEnginesBoundRequestsPerObserve(t *testing.T) {
+	x := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 { // xorshift64: a fixed, reproducible stream
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	for _, v := range Variants() {
+		for _, e := range []struct {
+			level string
+			c     Config
+		}{{"l1i", v.L1I}, {"l1d", v.L1D}, {"l2", v.L2}} {
+			level, c := e.level, e.c
+			if !c.Enabled() {
+				continue
+			}
+			c.Degree = queueCap
+			p := c.New()
+			ad, _ := p.(Adaptive)
+			var fb Feedback
+			for i := 0; i < 20_000; i++ {
+				r := next()
+				a := Access{PC: 0x400000 + (r%8)*4, Cycle: int64(i)}
+				switch i % 4 {
+				case 0:
+					a.Addr = uint64(i) * uarch.LineSize
+				case 1:
+					a.Addr = uint64(i) * (r%5 + 1) * 24
+				case 2:
+					a.Addr = r % (1 << 30)
+				default:
+					a.Addr = uint64(i/4) * uarch.LineSize // repeats a recent line
+				}
+				p.Observe(a)
+				if got := len(p.Requests()); got > c.Degree {
+					t.Fatalf("%s/%s: observation %d queued %d requests, degree %d", v.Name, level, i, got, c.Degree)
+				}
+				if ad != nil && i%64 == 63 {
+					fb.Issued += 64
+					fb.Useful += int64(next() % 65)
+					fb.Late += int64(next() % 8)
+					ad.Feedback(fb)
+				}
+			}
+			if o := p.Overflowed(); o != 0 {
+				t.Errorf("%s/%s: %d requests overflowed with a drain after every observation", v.Name, level, o)
+			}
+		}
+	}
+}
+
 // TestThrottledAdaptsDegree exercises the feedback controller directly:
 // low-accuracy epochs walk the effective degree down to 1, high-accuracy
 // epochs walk it back to the configured maximum, and per-observation

@@ -26,8 +26,6 @@ type Options struct {
 	// core.Default for the requested mode) before the machine is built —
 	// the hook every ablation sweep uses.
 	Configure func(*core.Config)
-	// Energy overrides the energy parameters (Default22nm otherwise).
-	Energy *energy.Params
 	// DisableCycleSkip runs every simulated cycle individually instead of
 	// letting the core skip provably idle spans. Results are byte-identical
 	// either way (the differential tests pin this); the knob exists for
@@ -156,11 +154,11 @@ func Run(w workload.Workload, mode core.Mode, opt Options) (Result, error) {
 		c.PublishMetrics(opt.Trace.Metrics())
 		c.Hierarchy().PublishMetrics(opt.Trace.Metrics())
 	}
-	return gather(w.Name, mode, c, opt), nil
+	return gather(w.Name, mode, c), nil
 }
 
 // gather flattens the machine's statistics into a Result.
-func gather(name string, mode core.Mode, c *core.Core, opt Options) Result {
+func gather(name string, mode core.Mode, c *core.Core) Result {
 	cs := c.Stats()
 	l1d := c.Hierarchy().L1D().Stats()
 	l1i := c.Hierarchy().L1I().Stats()
@@ -172,10 +170,6 @@ func gather(name string, mode core.Mode, c *core.Core, opt Options) Result {
 	prdq := c.PRDQ().Stats()
 	emq := c.EMQ().Stats()
 
-	params := energy.Default22nm()
-	if opt.Energy != nil {
-		params = *opt.Energy
-	}
 	act := energy.Activity{
 		Cycles:       cs.Cycles,
 		Fetched:      fe.FetchedUops,
@@ -243,6 +237,6 @@ func gather(name string, mode core.Mode, c *core.Core, opt Options) Result {
 		FreeIntFrac:         cs.FreeIntRegAtEntry.Mean(),
 		FreeFPFrac:          cs.FreeFPRegAtEntry.Mean(),
 		BranchMispredicts:   cs.BranchMispredicts,
-		Energy:              energy.Compute(params, act),
+		Energy:              energy.Compute(energy.Default22nm(), act),
 	}
 }

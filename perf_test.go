@@ -19,16 +19,28 @@ import (
 
 // skipDiffMatrix is the full differential matrix: every mechanism over
 // one representative per archetype, crossed with every hardware-prefetch
-// variant. The whole PF axis matters: the L2 best-offset engine trains
-// on traffic that can then be rejected at the L2/L3 MSHRs, which is
-// exactly the path where naive retry amortization would silently skip
-// training (the bug class this test exists to catch).
-func skipDiffMatrix(opt presim.Options) presim.Experiment {
+// variant of the catalogue's PF grid. The whole PF axis matters: the L2
+// best-offset engine trains on traffic that can then be rejected at the
+// L2/L3 MSHRs, which is exactly the path where naive retry amortization
+// would silently skip training (the bug class this test exists to
+// catch). It stays an Experiment rather than a job spec because the
+// representatives include a custom pointer chase.
+func skipDiffMatrix(t *testing.T, opt presim.Options) presim.Experiment {
+	t.Helper()
+	e, err := presim.CatalogEntry("pf_grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Spec.WarmupUops, e.Spec.MeasureUops = opt.WarmupUops, opt.MeasureUops
+	grid, err := e.Spec.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return presim.Experiment{
 		Name:      "skip_diff",
 		Workloads: archetypeRepresentatives(),
 		Modes:     presim.Modes(),
-		Points:    presim.PrefetchPoints(),
+		Points:    grid.Points,
 		Options:   opt,
 	}
 }
@@ -36,7 +48,7 @@ func skipDiffMatrix(opt presim.Options) presim.Experiment {
 // runMatrixJSON expands and runs the matrix, returning the results JSON.
 func runMatrixJSON(t *testing.T, opt presim.Options) []byte {
 	t.Helper()
-	plan, err := skipDiffMatrix(opt).Expand()
+	plan, err := skipDiffMatrix(t, opt).Expand()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 //	go test -run TestGoldenPFGridDigest -v
 //
 // and justify it in the commit message.
-const pfGridDigest = "521ef66b53f3bbea3378a574cc1fa542aa99296fd91901efdac65e5f1f7459f1"
+const pfGridDigest = "4b41858b30f2f4fea494629f1f04afefa9bd06b4ac572a57b129a3666f9abf65"
 
 // pfGridDocument runs {libquantum, mcf, bwaves} x {OoO, PRE} under the
 // stride+bo and adaptive prefetch points (the latter with the PRE-aware

@@ -193,19 +193,6 @@ func PrefetchVariantByName(name string) (PrefetchVariant, error) {
 	return prefetch.VariantByName(name)
 }
 
-// PrefetchPoints expresses the standard PF variants as experiment points,
-// ready to drop into an Experiment: {OoO, PRE, ...} x PrefetchPoints() is
-// the PRE-vs-prefetch-vs-combined grid.
-func PrefetchPoints() []ExperimentPoint {
-	vs := prefetch.Variants()
-	pts := make([]ExperimentPoint, len(vs))
-	for i, v := range vs {
-		v := v
-		pts[i] = ExperimentPoint{Name: v.Name, Apply: func(c *core.Config) { c.ApplyPrefetch(v) }}
-	}
-	return pts
-}
-
 // Stochastic scenario engine (internal/workload/synth): seed-driven
 // workload populations sampled from a parameterized distribution, the
 // scale-out complement to the fixed 13-proxy suite.
